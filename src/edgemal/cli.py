@@ -46,9 +46,9 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _atomic_write_bytes(path: Path, blob: bytes) -> None:
+def _atomic_write_pgm(path: Path, img: features.GrayImage) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
+    features.write_pgm(img, tmp)
     os.replace(tmp, path)
 
 
@@ -104,12 +104,9 @@ def cmd_gen_corpus(args) -> int:
         full = features.to_grayscale(values, bundle.blobs[i], label)
         small = features.downsample(full)
         rel = _pgm_name(i)
-        header = f"P5\n{small.side} {small.side}\n255\n".encode("ascii")
-        _atomic_write_bytes(out / rel, header + small.pixels.tobytes())
+        _atomic_write_pgm(out / rel, small)
         if args.full_res:
-            big_rel = f"full_res/img_{i:06d}.pgm"
-            header = f"P5\n{full.side} {full.side}\n255\n".encode("ascii")
-            _atomic_write_bytes(out / big_rel, header + full.pixels.tobytes())
+            _atomic_write_pgm(out / f"full_res/img_{i:06d}.pgm", full)
         samples.append({
             "file": rel,
             "label": label,

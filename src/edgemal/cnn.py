@@ -243,14 +243,10 @@ def build_model(spec: ModelSpec, seed: int) -> Model:
             b_len = layer.units
         else:
             continue
-        n = int(np.prod(w_shape))
-        w = np.empty(n, dtype=np.float32)
-        for j in range(n):
-            w[j] = np.float32(rng.uniform(-WEIGHT_INIT_SPAN, WEIGHT_INIT_SPAN))
-        b = np.empty(b_len, dtype=np.float32)
-        for j in range(b_len):
-            b[j] = np.float32(rng.uniform(-WEIGHT_INIT_SPAN, WEIGHT_INIT_SPAN))
-        weights[i] = LayerWeights(Tensor(w.reshape(w_shape)), Tensor(b))
+        w = rng.uniforms(int(np.prod(w_shape)), -WEIGHT_INIT_SPAN, WEIGHT_INIT_SPAN)
+        b = rng.uniforms(b_len, -WEIGHT_INIT_SPAN, WEIGHT_INIT_SPAN)
+        weights[i] = LayerWeights(Tensor(w.astype(np.float32).reshape(w_shape)),
+                                  Tensor(b.astype(np.float32)))
     return Model(rspec, weights)
 
 

@@ -228,15 +228,19 @@ def gen_synthetic_corpus(*, samples_per_class: int, events: int = 16,
     rows = np.zeros((classes * samples_per_class, events), dtype=np.float64)
     labels = np.zeros(classes * samples_per_class, dtype=np.int64)
     blobs: list[bytes] = []
+    # One block of normals per sample, in the scalar draw order: the trace
+    # values, then (only when noise > 0) the blob jitter.
+    block = events + (SMALL_SIDE * SMALL_SIDE if noise > 0.0 else 0)
     row = 0
     for k in range(classes):
         stream = root.substream(k)
-        shifted = set(planted.get(k, ()))
+        means = np.full(events, base_mean)
+        means[planted.get(k, [])] += shift
+        texture = _class_texture(k)
         for _ in range(samples_per_class):
-            for j in range(events):
-                mean = base_mean + (shift if j in shifted else 0.0)
-                rows[row, j] = mean + noise * stream.normal()
-            blobs.append(_class_blob(k, stream, noise))
+            z = stream.normals(block)
+            rows[row] = means + noise * z[:events]
+            blobs.append(_class_blob(texture, noise * z[events:]))
             labels[row] = k
             row += 1
 
@@ -244,27 +248,25 @@ def gen_synthetic_corpus(*, samples_per_class: int, events: int = 16,
     return CorpusBundle(traces, blobs, planted)
 
 
-def _class_blob(k: int, stream: SplitMix64, noise: float) -> bytes:
-    """Binary blob with an 8x8-block texture specific to class k.
-
-    Block values survive downsampling exactly (every 8x8 block is constant),
-    so the 32x32 image keeps the class texture. The per-block jitter scales
-    with the corpus noise level.
-    """
+def _class_texture(k: int) -> np.ndarray:
+    """32x32 block values specific to class k, before jitter."""
     modulus = k + 2
     step = 255 // (modulus - 1) if modulus > 1 else 0
     rows_idx = np.arange(SMALL_SIDE)
     base = ((rows_idx[:, None] + rows_idx[None, :] * (k + 1)) % modulus) * step
-    base = base.astype(np.float64)
-    if noise > 0.0:
-        jitter = np.empty((SMALL_SIDE, SMALL_SIDE), dtype=np.float64)
-        flat = jitter.ravel()
-        for j in range(flat.size):
-            flat[j] = noise * stream.normal()
-        base = base + jitter
+    return base.astype(np.float64)
+
+
+def _class_blob(texture: np.ndarray, jitter: np.ndarray) -> bytes:
+    """Binary blob with the 8x8-block class texture plus per-block jitter
+    (row-major over the 32x32 blocks; empty when the corpus has no noise).
+
+    Block values survive downsampling exactly (every 8x8 block is constant),
+    so the 32x32 image keeps the class texture.
+    """
+    base = texture + jitter.reshape(SMALL_SIDE, SMALL_SIDE) if jitter.size else texture
     blocks = np.clip(_round_half_away(np.maximum(base, 0.0)), 0, 255).astype(np.uint8)
-    full = np.kron(blocks, np.ones((8, 8), dtype=np.uint8))
-    return full.tobytes()
+    return blocks.repeat(8, axis=0).repeat(8, axis=1).tobytes()
 
 
 def corpus_images(bundle: CorpusBundle, selected_events: list[int]) -> list[GrayImage]:

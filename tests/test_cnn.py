@@ -46,6 +46,19 @@ def test_build_model_seed_determinism(default_spec):
                               m1.weights[1].weight.array)
 
 
+def test_build_model_matches_scalar_init(default_spec):
+    """Bulk init equals one `uniform` draw per element in C order, weights
+    then bias, layer by layer."""
+    model = cnn.build_model(default_spec, 42)
+    rng = SplitMix64(42)
+    span = cnn.WEIGHT_INIT_SPAN
+    for i in sorted(model.weights):
+        for tensor in (model.weights[i].weight, model.weights[i].bias):
+            ref = np.array([np.float32(rng.uniform(-span, span))
+                            for _ in range(tensor.array.size)], dtype=np.float32)
+            assert tensor.array.tobytes() == ref.reshape(tensor.array.shape).tobytes()
+
+
 def test_bad_prev_units_rejected():
     spec = cnn.ModelSpec((4, 4, 1), (
         cnn.LayerSpec("Input"),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -190,6 +191,21 @@ def test_corpus_deterministic():
     assert a.blobs == b.blobs
     c = features.gen_synthetic_corpus(samples_per_class=5, seed=2)
     assert not np.array_equal(a.traces.rows, c.traces.rows)
+
+
+@pytest.mark.parametrize("kwargs, digest", [
+    (dict(samples_per_class=200, seed=42),
+     "bb935a90df965b7a80fd325462b036da570fd4806228f78cea8966aa262f4a1e"),
+    (dict(samples_per_class=4, noise=0.0, seed=3),
+     "1b3dd0af64548246f1d40e704e9a7ee5fb96ba962edbc0ffa437606b44bfe1ef"),
+])
+def test_corpus_bytes_pinned(kwargs, digest):
+    """Digests of the element-by-element scalar generator: any change to the
+    draw order or the float arithmetic changes every seeded artifact."""
+    bundle = features.gen_synthetic_corpus(**kwargs)
+    data = (bundle.traces.rows.tobytes() + bundle.traces.labels.tobytes()
+            + b"".join(bundle.blobs))
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_corpus_zero_noise_rows_identical_within_class():

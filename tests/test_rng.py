@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 from edgemal.rng import SplitMix64
 
 
@@ -39,3 +42,17 @@ def test_substreams_differ_and_are_stable():
     b1 = root.substream(1).next_u64()
     assert a1 != b1
     assert SplitMix64(9).substream(0).next_u64() == a1
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 0x9E3779B97F4A7C15])
+@pytest.mark.parametrize("n", [0, 1, 7, 1040])
+def test_bulk_draws_match_scalar_stream(seed, n):
+    scalar = SplitMix64(seed)
+    bulk = SplitMix64(seed)
+    ref = np.array([scalar.normal() for _ in range(n)], dtype=np.float64)
+    assert np.array_equal(bulk.normals(n).view(np.uint64), ref.view(np.uint64))
+    assert bulk.next_u64() == scalar.next_u64()
+    ref = np.array([scalar.uniform(-0.05, 0.05) for _ in range(n)], dtype=np.float64)
+    assert np.array_equal(bulk.uniforms(n, -0.05, 0.05).view(np.uint64),
+                          ref.view(np.uint64))
+    assert bulk.next_u64() == scalar.next_u64()
