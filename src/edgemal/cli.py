@@ -15,9 +15,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from importlib import resources as importlib_resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,16 +41,20 @@ def data_path(*parts: str) -> Path:
     return Path(importlib_resources.files("edgemal").joinpath("data", *parts))
 
 
+def _atomic_write(path: Path, write) -> None:
+    """Produce `path` through `write(tmp)` on a `.tmp` sibling, then rename;
+    a failed write removes the temporary file."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _atomic_write_pgm(path: Path, img: features.GrayImage) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    features.write_pgm(img, tmp)
-    os.replace(tmp, path)
+    _atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _dump_json(doc) -> str:
@@ -104,18 +109,18 @@ def cmd_gen_corpus(args) -> int:
         full = features.to_grayscale(values, bundle.blobs[i], label)
         small = features.downsample(full)
         rel = _pgm_name(i)
-        _atomic_write_pgm(out / rel, small)
+        _atomic_write(out / rel, partial(features.write_pgm, small))
         if args.full_res:
-            _atomic_write_pgm(out / f"full_res/img_{i:06d}.pgm", full)
+            _atomic_write(out / f"full_res/img_{i:06d}.pgm",
+                          partial(features.write_pgm, full))
         samples.append({
             "file": rel,
             "label": label,
             "class_name": bundle.traces.class_names[label],
         })
 
-    csv_tmp = out / "traces.csv.tmp"
-    features.write_traces_csv(bundle.traces, csv_tmp)
-    os.replace(csv_tmp, out / "traces.csv")
+    _atomic_write(out / "traces.csv",
+                  partial(features.write_traces_csv, bundle.traces))
     _atomic_write_text(out / "ranked_events.json",
                        _dump_json(features.ranked_to_json(ranked)))
     manifest = {
@@ -297,6 +302,11 @@ def _load_faults(path: Path) -> list[simulation.FaultEvent]:
             for entry in doc]
 
 
+def _latency_of(doc: dict) -> SimpleNamespace:
+    """A report JSON as far as `simulation.speedup` reads it."""
+    return SimpleNamespace(total_latency_max_sec=doc["total_latency_max_sec"])
+
+
 def _simulate_one(scenario_path: Path, args, spec, model, images, labels, names):
     scenario = partitioning.scenario_from_json(_load_json(scenario_path))
     if args.placement:
@@ -307,23 +317,15 @@ def _simulate_one(scenario_path: Path, args, spec, model, images, labels, names)
                                      batch_size=args.batch_size,
                                      kb_per_param=args.kb_per_param)
     faults = _load_faults(Path(args.faults)) if args.faults else []
-    if len(placement.assignments) == 1 and not faults:
-        report = simulation.simulate_on_device(
-            scenario, placement.assignments[0][0], model, images,
-            n_batches=args.n_batches, batch_size=args.batch_size,
-            kb_per_param=args.kb_per_param)
-    else:
-        report = simulation.simulate_inference(
-            scenario, placement, model, images, faults,
-            n_batches=args.n_batches, batch_size=args.batch_size,
-            kb_per_param=args.kb_per_param)
+    report = simulation.simulate_inference(
+        scenario, placement, model, images, faults,
+        n_batches=args.n_batches, batch_size=args.batch_size,
+        kb_per_param=args.kb_per_param)
     report.input_labels = labels
     report.input_files = names
     if args.baseline:
-        base_doc = _load_json(Path(args.baseline))
-        report.speedup_vs_baseline = (
-            base_doc["total_latency_max_sec"] / report.total_latency_max_sec
-            if report.total_latency_max_sec > 0 else float("inf"))
+        report.speedup_vs_baseline = simulation.speedup(
+            _latency_of(_load_json(Path(args.baseline))), report)
     return report
 
 
@@ -339,22 +341,17 @@ def cmd_simulate(args) -> int:
         _atomic_write_text(Path(args.out),
                            _dump_json(simulation.report_to_json(report)))
         if args.event_log:
-            log_path = Path(args.event_log)
-            log_tmp = log_path.with_name(log_path.name + ".tmp")
-            simulation.write_event_log(report, log_tmp)
-            os.replace(log_tmp, log_path)
+            _atomic_write(Path(args.event_log),
+                          partial(simulation.write_event_log, report))
         _info(args, f"latency {report.total_latency_max_sec:.6f} s, "
                     f"faults handled {report.faults_handled}")
         return EXIT_OK
 
-    # scenario list: fan out, merge reports deterministically by input order
+    # scenario list: one report per scenario, in the order given
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=min(8, len(scenario_paths))) as pool:
-        futures = [pool.submit(_simulate_one, path, args, spec, model,
-                               images, labels, names)
-                   for path in scenario_paths]
-        reports = [f.result() for f in futures]
+    reports = [_simulate_one(path, args, spec, model, images, labels, names)
+               for path in scenario_paths]
     for path, report in zip(scenario_paths, reports):
         target = out_dir / (path.stem + "_report.json")
         _atomic_write_text(target, _dump_json(simulation.report_to_json(report)))
@@ -424,10 +421,8 @@ def cmd_report(args) -> int:
         "faults_handled": doc.get("faults_handled", 0),
     }
     if args.baseline:
-        base = _load_json(Path(args.baseline))
-        result["speedup_vs_baseline"] = (
-            base["total_latency_max_sec"] / doc["total_latency_max_sec"]
-            if doc["total_latency_max_sec"] > 0 else float("inf"))
+        result["speedup_vs_baseline"] = simulation.speedup(
+            _latency_of(_load_json(Path(args.baseline))), _latency_of(doc))
     elif "speedup_vs_baseline" in doc:
         result["speedup_vs_baseline"] = doc["speedup_vs_baseline"]
 
@@ -452,6 +447,14 @@ def cmd_report(args) -> int:
 
 
 # --- parser -------------------------------------------------------------------------
+
+def _positive_int(text: str) -> int:
+    """argparse type for the memory-model scale factors."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -504,9 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model spec JSON (default: shipped)")
     p.add_argument("--node-free", type=int, required=True,
                    help="free bytes on the node")
-    p.add_argument("--n-batches", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=1)
-    p.add_argument("--kb-per-param", type=int, default=1)
+    p.add_argument("--n-batches", type=_positive_int, default=1)
+    p.add_argument("--batch-size", type=_positive_int, default=1)
+    p.add_argument("--kb-per-param", type=_positive_int, default=1)
     p.add_argument("--regressor", help="load a fitted regressor JSON")
     p.add_argument("--save-regressor", help="save the fitted regressor JSON")
     p.add_argument("--out", help="write the decision record JSON")
@@ -516,23 +519,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="fleet scenario JSON")
     p.add_argument("--model", help="model spec JSON (default: shipped)")
     p.add_argument("--nodes", help="'parent-only' or a node count to force")
-    p.add_argument("--n-batches", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=1)
-    p.add_argument("--kb-per-param", type=int, default=1)
+    p.add_argument("--n-batches", type=_positive_int, default=1)
+    p.add_argument("--batch-size", type=_positive_int, default=1)
+    p.add_argument("--kb-per-param", type=_positive_int, default=1)
     p.add_argument("--out", required=True, help="placement JSON")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("simulate", parents=[common], help="run placed inference on the fleet")
     p.add_argument("--scenario", required=True, nargs="+",
-                   help="fleet scenario JSON (several fan out over threads)")
+                   help="fleet scenario JSON (several run in sequence)")
     p.add_argument("--model", help="model spec JSON (default: shipped)")
     p.add_argument("--weights", required=True, help="weights JSON")
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--placement", help="placement JSON (default: auto-partition)")
     p.add_argument("--nodes", help="'parent-only' or a node count to force")
-    p.add_argument("--n-batches", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=1)
-    p.add_argument("--kb-per-param", type=int, default=1)
+    p.add_argument("--n-batches", type=_positive_int, default=1)
+    p.add_argument("--batch-size", type=_positive_int, default=1)
+    p.add_argument("--kb-per-param", type=_positive_int, default=1)
     p.add_argument("--limit", type=int, default=0,
                    help="use only the first N corpus samples")
     p.add_argument("--faults", help="fault schedule JSON")

@@ -98,12 +98,17 @@ def count_model_params(spec: cnn.ModelSpec) -> ParamProfile:
     return ParamProfile(per_layer, sum(per_layer))
 
 
+def _bytes_per_param(n_batches: int, batch_size: int, kb_per_param: int) -> int:
+    """Bytes one parameter costs: batches x batch size x KB per parameter."""
+    if n_batches < 1 or batch_size < 1 or kb_per_param < 1:
+        raise ValueError("n_batches, batch_size and kb_per_param must be >= 1")
+    return n_batches * batch_size * kb_per_param * KB
+
+
 def estimate_model_memory(query: MemoryQuery) -> int:
     """Bytes needed to host inference: batches x batch size x params x KB."""
-    if query.n_batches < 1 or query.batch_size < 1 or query.kb_per_param < 1:
-        raise ValueError("n_batches, batch_size and kb_per_param must be >= 1")
-    return (query.n_batches * query.batch_size * query.profile.total
-            * query.kb_per_param * KB)
+    return query.profile.total * _bytes_per_param(
+        query.n_batches, query.batch_size, query.kb_per_param)
 
 
 def model_bytes(spec: cnn.ModelSpec, *, n_batches: int = 1, batch_size: int = 1,
@@ -115,9 +120,8 @@ def model_bytes(spec: cnn.ModelSpec, *, n_batches: int = 1, batch_size: int = 1,
 def layer_bytes(spec: cnn.ModelSpec, *, n_batches: int = 1, batch_size: int = 1,
                 kb_per_param: int = 1) -> list[int]:
     """Per-layer byte costs under the same memory model; sums to model_bytes."""
-    profile = count_model_params(spec)
-    scale = n_batches * batch_size * kb_per_param * KB
-    return [count * scale for count in profile.per_layer]
+    scale = _bytes_per_param(n_batches, batch_size, kb_per_param)
+    return [count * scale for count in count_model_params(spec).per_layer]
 
 
 # --- feature assembly -------------------------------------------------------------

@@ -31,7 +31,13 @@ from .errors import (
     ShapeMismatch,
     UnroutableTransfer,
 )
-from .partitioning import NetworkScenario, Placement, cut_bytes, validate_placement
+from .partitioning import (
+    NetworkScenario,
+    Placement,
+    cut_bytes,
+    single_node_placement,
+    validate_placement,
+)
 
 GRADIENT_AGGREGATION = "mean"
 
@@ -91,40 +97,19 @@ def _range_flops(rspec: cnn.ModelSpec, lo: int, hi: int) -> int:
 def simulate_on_device(scenario: NetworkScenario, node_id: str, model: cnn.Model,
                        inputs: list[Tensor], *, n_batches: int = 1,
                        batch_size: int = 1, kb_per_param: int = 1) -> SimReport:
-    """Whole-model inference on one node; the reference for speedup."""
-    if not scenario.has_node(node_id):
-        raise InsufficientResources(f"node {node_id!r} is not in the fleet")
-    node = scenario.node(node_id)
-    if not node.online:
-        raise InsufficientResources(f"node {node_id!r} is offline")
-    mem = resources.model_bytes(model.spec, n_batches=n_batches,
-                                batch_size=batch_size, kb_per_param=kb_per_param)
-    if mem > node.mem_free_bytes:
-        raise InsufficientResources(
-            f"model needs {mem} bytes, node {node_id!r} has {node.mem_free_bytes}")
-    speed = _effective_speed(node)
-    per_input = cnn.model_flops(model.spec) / speed
-    n_layers = len(model.spec.layers)
+    """Whole-model inference on one node; the reference for speedup.
 
-    usage = NodeUsage(bytes_consumed=mem)
-    events: list[SimEvent] = []
-    outputs: list[np.ndarray] = []
-    clock = 0.0
-    for x in inputs:
-        events.append(SimEvent(clock, node_id, "compute_start"))
-        outputs.append(cnn.forward(model, x).array)
-        clock += per_input
-        usage.busy_sec += per_input
-        usage.layers_executed += n_layers
-        events.append(SimEvent(clock, node_id, "compute_end"))
-    return SimReport(
-        per_node={node_id: usage},
-        total_latency_max_sec=usage.busy_sec,
-        total_latency_pipeline_sec=per_input if inputs else 0.0,
-        outputs=outputs,
-        parent_id=node_id,
-        events=events,
-    )
+    Runs `simulate_inference` with every layer placed on `node_id`. A node
+    that is unknown, offline, too small for the model or without spare
+    capacity raises InsufficientResources.
+    """
+    placement = single_node_placement(model.spec, node_id)
+    try:
+        return simulate_inference(scenario, placement, model, inputs,
+                                  n_batches=n_batches, batch_size=batch_size,
+                                  kb_per_param=kb_per_param)
+    except InvalidPlacement as exc:
+        raise InsufficientResources(str(exc)) from exc
 
 
 def simulate_inference(scenario: NetworkScenario, placement: Placement,
@@ -264,12 +249,7 @@ def simulate_inference(scenario: NetworkScenario, placement: Placement,
     total_max = max(u.busy_sec + u.transfer_sec for u in usage.values())
     pipeline = sum(stage_cost)
     for j, payload in enumerate(cuts):
-        sender = stages[j][0]
-        receiver = stages[j + 1][0]
-        if sender != receiver:
-            link = scenario.link_between(sender, receiver)
-            if link is not None:
-                pipeline += link.transfer_sec(payload)
+        pipeline += transfer_cost(stages[j][0], stages[j + 1][0], payload)
 
     events.sort(key=lambda e: (e.time_sec, e.node_id, e.kind, e.bytes))
     return SimReport(

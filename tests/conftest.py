@@ -24,10 +24,6 @@ def tiny_spec() -> cnn.ModelSpec:
 
 
 def rand_tensor(shape, seed, lo=0.0, hi=1.0) -> cnn.Tensor:
-    """Deterministic test input drawn element by element from SplitMix64."""
-    rng = SplitMix64(seed)
-    arr = np.empty(shape, dtype=np.float32)
-    flat = arr.ravel()
-    for i in range(flat.size):
-        flat[i] = np.float32(rng.uniform(lo, hi))
-    return cnn.Tensor(arr)
+    """Deterministic test input: SplitMix64 uniforms in row-major order."""
+    draws = SplitMix64(seed).uniforms(int(np.prod(shape)), lo, hi)
+    return cnn.Tensor(draws.astype(np.float32).reshape(shape))

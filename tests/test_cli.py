@@ -1,10 +1,11 @@
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from edgemal import cli
+from edgemal import cli, simulation
 
 
 def run(*argv) -> int:
@@ -163,6 +164,49 @@ def test_simulate_fan_out_multiple_scenarios(small_corpus, tiny_weights,
                "--nodes", "3", "--limit", 2, "--out", out_dir) == 0
     assert (out_dir / "demo_fleet_report.json").exists()
     assert (out_dir / "reference_fleet_report.json").exists()
+    for scenario in (demo, reference):
+        single = tmp_path / f"{scenario.stem}.json"
+        assert run("--quiet", "simulate", "--scenario", scenario,
+                   "--weights", tiny_weights, "--corpus", small_corpus,
+                   "--nodes", "3", "--limit", 2, "--out", single) == 0
+        assert ((out_dir / f"{scenario.stem}_report.json").read_bytes()
+                == single.read_bytes())
+
+
+def test_baseline_speedup_is_simulation_speedup(small_corpus, tiny_weights,
+                                                tmp_path):
+    reference = cli.data_path("scenarios", "reference_fleet.json")
+    placement = cli.data_path("scenarios", "reference_fleet_nodes4.json")
+    solo = tmp_path / "solo.json"
+    dist = tmp_path / "dist.json"
+    metrics = tmp_path / "metrics.json"
+    common = ["--weights", tiny_weights, "--corpus", small_corpus, "--limit", 3]
+    assert run("--quiet", "simulate", "--scenario", reference, *common,
+               "--nodes", "parent-only", "--out", solo) == 0
+    assert run("--quiet", "simulate", "--scenario", reference, *common,
+               "--placement", placement, "--baseline", solo, "--out", dist) == 0
+    assert run("--quiet", "report", "--report", dist, "--baseline", solo,
+               "--out", metrics) == 0
+    base = json.loads(solo.read_text())
+    doc = json.loads(dist.read_text())
+    expected = simulation.speedup(
+        SimpleNamespace(total_latency_max_sec=base["total_latency_max_sec"]),
+        SimpleNamespace(total_latency_max_sec=doc["total_latency_max_sec"]))
+    assert expected > 1.0
+    assert doc["speedup_vs_baseline"] == expected
+    assert json.loads(metrics.read_text())["speedup_vs_baseline"] == expected
+
+
+def test_report_zero_latency_speedup_is_one(tmp_path):
+    doc = {"parent_id": "p", "total_latency_max_sec": 0.0,
+           "total_latency_pipeline_sec": 0.0, "per_node": {}, "outputs": [],
+           "predictions": [], "input_labels": []}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "metrics.json"
+    assert run("--quiet", "report", "--report", path, "--baseline", path,
+               "--out", out) == 0
+    assert json.loads(out.read_text())["speedup_vs_baseline"] == 1.0
 
 
 def test_simulate_faults_flag(small_corpus, tiny_weights, tmp_path):
@@ -198,3 +242,32 @@ def test_no_partial_files_on_failure(small_corpus, tmp_path):
                "--nodes", "parent-only", "--out", target) == 3
     assert not target.exists()
     assert not target.with_name(target.name + ".tmp").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "--node-free", 1000],
+    ["partition", "--scenario", "fleet.json", "--out", "p.json"],
+    ["simulate", "--scenario", "fleet.json", "--weights", "w.json",
+     "--corpus", "corpus", "--out", "r.json"],
+])
+@pytest.mark.parametrize("flag", [("--n-batches", 0), ("--batch-size", -1),
+                                  ("--kb-per-param", 0)])
+def test_memory_scale_flags_exit_2(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("--quiet", *command, *flag)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag[0]}: must be >= 1" in err
+    assert "Traceback" not in err
+
+
+def test_atomic_write_failure_leaves_nothing(tmp_path):
+    target = tmp_path / "out.txt"
+
+    def failing(tmp):
+        tmp.write_text("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        cli._atomic_write(target, failing)
+    assert list(tmp_path.iterdir()) == []

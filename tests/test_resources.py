@@ -91,6 +91,15 @@ def test_layer_bytes_sum_to_model_bytes(default_spec):
     assert sum(per) == resources.model_bytes(default_spec) == 8_953_856
 
 
+@pytest.mark.parametrize("scale", [{"n_batches": 0}, {"batch_size": -1},
+                                   {"kb_per_param": 0}])
+def test_memory_scale_must_be_positive(default_spec, scale):
+    with pytest.raises(ValueError):
+        resources.layer_bytes(default_spec, **scale)
+    with pytest.raises(ValueError):
+        resources.model_bytes(default_spec, **scale)
+
+
 # --- regressor dataset ---
 
 def test_dataset_deterministic():

@@ -80,6 +80,38 @@ def test_on_device_no_spare_capacity(tiny_spec):
         simulation.simulate_on_device(net, "p", model, [])
 
 
+def test_on_device_unknown_or_offline_node(tiny_spec):
+    model = cnn.build_model(tiny_spec, 1)
+    net = partitioning.NetworkScenario(
+        [partitioning.NodeProfile("p", 10 * MB, 10.0),
+         partitioning.NodeProfile("q", 10 * MB, 10.0, online=False)],
+        [], 100.0, "p")
+    for node_id in ("x", "q"):
+        with pytest.raises(InsufficientResources):
+            simulation.simulate_on_device(net, node_id, model, [])
+
+
+def test_on_device_is_single_node_placement(tiny_spec):
+    model = cnn.build_model(tiny_spec, 2)
+    xs = [rand_tensor((6, 6, 1), i) for i in range(5)]
+    net = fleet([("p", 10 * MB, 1e3, 0.25, (0, 0))], [])
+    solo = simulation.simulate_on_device(net, "p", model, xs)
+    placed = simulation.simulate_inference(
+        net, partitioning.single_node_placement(tiny_spec, "p"), model, xs)
+    assert simulation.report_to_json(solo) == simulation.report_to_json(placed)
+    assert solo.events == placed.events
+    # back-to-back inputs: each starts when the previous one ends
+    per_input = cnn.model_flops(tiny_spec) / (1e3 * 0.75)
+    expected = []
+    clock = 0.0
+    for _ in xs:
+        expected.append((clock, "compute_start"))
+        clock += per_input
+        expected.append((clock, "compute_end"))
+    assert [(e.time_sec, e.kind) for e in solo.events] == expected
+    assert solo.total_latency_pipeline_sec == per_input
+
+
 # --- pipeline timing ---
 
 def test_equal_split_halves_latency(balanced_spec):
