@@ -145,7 +145,11 @@ def _load_corpus(corpus_dir: Path, limit: int = 0):
     labels = []
     names = []
     for entry in samples:
-        img = features.read_pgm(corpus_dir / entry["file"], entry["label"])
+        path = corpus_dir / entry["file"]
+        try:
+            img = features.read_pgm(path, entry["label"])
+        except OSError as exc:
+            raise _ConfigError(f"cannot read corpus image {path}: {exc.strerror}") from exc
         images.append(features.image_to_tensor(img))
         labels.append(int(entry["label"]))
         names.append(entry["file"])
@@ -263,12 +267,11 @@ def _build_placement(scenario, spec, nodes_arg, *, n_batches, batch_size,
                 f"model needs {mem} bytes, parent has {parent.mem_free_bytes}")
         return partitioning.single_node_placement(spec, scenario.parent_id)
     if nodes_arg is not None:
-        count = int(nodes_arg)
         candidates = partitioning.candidate_order(
             scenario, scenario.parent_id, scenario.radius_r)
-        if count < 1 or count > len(candidates):
+        if nodes_arg > len(candidates):
             raise _ConfigError(f"--nodes must be in [1, {len(candidates)}]")
-        chosen = candidates[:count]
+        chosen = candidates[:nodes_arg]
         return partitioning.partition_layers(spec, chosen, n_batches=n_batches,
                                              batch_size=batch_size,
                                              kb_per_param=kb_per_param)
@@ -304,7 +307,10 @@ def _load_faults(path: Path) -> list[simulation.FaultEvent]:
 
 def _latency_of(doc: dict) -> SimpleNamespace:
     """A report JSON as far as `simulation.speedup` reads it."""
-    return SimpleNamespace(total_latency_max_sec=doc["total_latency_max_sec"])
+    latency = doc.get("total_latency_max_sec") if isinstance(doc, dict) else None
+    if not isinstance(latency, (int, float)):
+        raise _ConfigError("report JSON lacks a numeric total_latency_max_sec")
+    return SimpleNamespace(total_latency_max_sec=latency)
 
 
 def _simulate_one(scenario_path: Path, args, spec, model, images, labels, names):
@@ -456,6 +462,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _node_count(text: str) -> str | int:
+    """argparse type for --nodes: 'parent-only' or a node count >= 1."""
+    return text if text == "parent-only" else _positive_int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgemal",
@@ -518,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", parents=[common], help="select nodes and split the layers")
     p.add_argument("--scenario", required=True, help="fleet scenario JSON")
     p.add_argument("--model", help="model spec JSON (default: shipped)")
-    p.add_argument("--nodes", help="'parent-only' or a node count to force")
+    p.add_argument("--nodes", type=_node_count,
+                   help="'parent-only' or a node count to force")
     p.add_argument("--n-batches", type=_positive_int, default=1)
     p.add_argument("--batch-size", type=_positive_int, default=1)
     p.add_argument("--kb-per-param", type=_positive_int, default=1)
@@ -532,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True, help="weights JSON")
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--placement", help="placement JSON (default: auto-partition)")
-    p.add_argument("--nodes", help="'parent-only' or a node count to force")
+    p.add_argument("--nodes", type=_node_count,
+                   help="'parent-only' or a node count to force")
     p.add_argument("--n-batches", type=_positive_int, default=1)
     p.add_argument("--batch-size", type=_positive_int, default=1)
     p.add_argument("--kb-per-param", type=_positive_int, default=1)

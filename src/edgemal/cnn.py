@@ -5,6 +5,8 @@ Conventions fixed for reproducibility:
   - activations are channels-last float32 arrays of rank <= 3;
   - convolutions use valid padding and stride 1; pooling is non-overlapping
     max with a square window (ragged border rows/columns are dropped);
+  - im2col is one index gather into patch rows in (kh, kw, channels) order,
+    with the index array cached per input shape and kernel size;
   - dot products accumulate in float64 and round back to float32 at every
     layer boundary, so outputs are bit-stable on one machine and agree across
     implementations to ~1e-6;
@@ -14,6 +16,7 @@ Conventions fixed for reproducibility:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -58,7 +61,7 @@ class Tensor:
             raise ShapeMismatch(f"tensor rank must be 1..4, got {arr.ndim}")
         if arr.size == 0:
             raise ShapeMismatch("tensor extents must be positive")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ShapeMismatch("tensor elements must be finite")
         self.array = arr
 
@@ -256,32 +259,49 @@ def build_model(spec: ModelSpec, seed: int) -> Model:
 # pair). `out_dtype` is float32 on the public path; the gradient checker runs
 # the same kernels end to end in float64.
 
+@functools.lru_cache(maxsize=64)
+def _im2col_index(h: int, w: int, c: int, kh: int, kw: int) -> np.ndarray:
+    """Flat-input index of every patch element: row p = i*ow + j is the patch
+    at output (i, j), column q = (di*kw + dj)*c + ch its (kh, kw, c) element.
+    Read-only, since every caller shares the cached array."""
+    oh, ow = h - kh + 1, w - kw + 1
+    starts = (np.arange(oh)[:, None] * w + np.arange(ow)).reshape(-1, 1) * c
+    offsets = ((np.arange(kh)[:, None, None] * w + np.arange(kw)[:, None]) * c
+               + np.arange(c)).reshape(1, -1)
+    idx = starts + offsets
+    idx.flags.writeable = False
+    return idx
+
+
 def _conv_cols(a: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """im2col with patch layout (kh, kw, channels), matching the kernel layout."""
-    windows = np.lib.stride_tricks.sliding_window_view(a, (kh, kw), axis=(0, 1))
-    oh, ow = windows.shape[0], windows.shape[1]
-    return windows.transpose(0, 1, 3, 4, 2).reshape(oh * ow, kh * kw * a.shape[2])
+    h, w, c = a.shape
+    return a.ravel()[_im2col_index(h, w, c, kh, kw)]
 
 
 def _apply_conv(layer: LayerSpec, w: np.ndarray, b: np.ndarray, a: np.ndarray,
                 out_dtype) -> np.ndarray:
     kh, kw, f = layer.kernel_h, layer.kernel_w, layer.filters
     oh, ow = a.shape[0] - kh + 1, a.shape[1] - kw + 1
-    cols = _conv_cols(a, kh, kw).astype(np.float64)
+    cols = _conv_cols(a.astype(np.float64, copy=False), kh, kw)
     w2 = w.reshape(kh * kw * a.shape[2], f).astype(np.float64)
-    z = cols @ w2 + b.astype(np.float64)
-    z = z.reshape(oh, ow, f)
+    z = cols @ w2
+    z += b.astype(np.float64)
     if layer.activation == "relu":
-        z = np.maximum(z, 0.0)
-    return z.astype(out_dtype)
+        np.maximum(z, 0.0, out=z)
+    return z.reshape(oh, ow, f).astype(out_dtype)
 
 
 def _apply_pool(layer: LayerSpec, a: np.ndarray) -> np.ndarray:
+    """Maximum over the win*win strided slices, one per window offset."""
     win = layer.pool_window
     oh, ow = a.shape[0] // win, a.shape[1] // win
-    trimmed = a[: oh * win, : ow * win, :]
-    blocks = trimmed.reshape(oh, win, ow, win, a.shape[2])
-    return blocks.max(axis=(1, 3))
+    out = a[: oh * win : win, : ow * win : win].copy()
+    for di in range(win):
+        for dj in range(win):
+            if di or dj:
+                np.maximum(out, a[di : oh * win : win, dj : ow * win : win], out=out)
+    return out
 
 
 def _apply_dense(layer: LayerSpec, w: np.ndarray, b: np.ndarray, a: np.ndarray,
@@ -302,7 +322,7 @@ def _apply_layer(layer: LayerSpec, wb: tuple[np.ndarray, np.ndarray] | None,
     if layer.kind == KIND_CONV:
         return _apply_conv(layer, wb[0], wb[1], a, out_dtype)
     if layer.kind == KIND_POOL:
-        return _apply_pool(layer, a).astype(out_dtype)
+        return _apply_pool(layer, a).astype(out_dtype, copy=False)
     if layer.kind == KIND_FLATTEN:
         return a.reshape(-1).astype(out_dtype)
     if layer.kind in (KIND_DENSE, KIND_SOFTMAX):

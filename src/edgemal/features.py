@@ -169,9 +169,11 @@ def downsample(img: GrayImage) -> GrayImage:
     """Reduce 256x256 to 32x32 by averaging 8x8 blocks; label is kept."""
     if img.side != FULL_SIDE:
         raise WrongSide(f"expected side {FULL_SIDE}, got {img.side}")
-    grid = img.pixels.reshape(FULL_SIDE, FULL_SIDE).astype(np.float64)
-    means = grid.reshape(SMALL_SIDE, 8, SMALL_SIDE, 8).mean(axis=(1, 3))
-    return GrayImage(SMALL_SIDE, _round_half_away(means).astype(np.uint8).ravel(),
+    # Exact integer block sums (at most 64 * 255 = 16320): 8 rows first, then
+    # 8 columns. Dividing by 64 is exact, so this equals the float64 mean.
+    rows = img.pixels.reshape(SMALL_SIDE, 8, FULL_SIDE).sum(axis=1, dtype=np.uint16)
+    sums = rows.reshape(SMALL_SIDE, SMALL_SIDE, 8).sum(axis=2)
+    return GrayImage(SMALL_SIDE, _round_half_away(sums / 64.0).astype(np.uint8).ravel(),
                      img.label)
 
 

@@ -10,6 +10,7 @@ overflow.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,10 @@ def count_layer_params(layer: cnn.LayerSpec) -> int:
 
 def count_model_params(spec: cnn.ModelSpec) -> ParamProfile:
     """Per-layer counts in layer order; resolves the spec first."""
-    rspec = cnn.resolve_spec(spec)
+    return _param_profile(cnn.resolve_spec(spec))
+
+
+def _param_profile(rspec: cnn.ModelSpec) -> ParamProfile:
     per_layer = tuple(count_layer_params(layer) for layer in rspec.layers)
     return ParamProfile(per_layer, sum(per_layer))
 
@@ -145,11 +149,17 @@ def feature_vector(spec: cnn.ModelSpec, node_free_bytes: int, *,
     """Regressor input in FEATURE_NAMES order. total_activations counts every
     layer's output elements, the input passthrough included."""
     rspec = cnn.resolve_spec(spec)
-    profile = count_model_params(rspec)
-    weights, biases = _weight_bias_counts(rspec)
-    activations = sum(int(np.prod(layer.out_shape)) for layer in rspec.layers)
+    profile = _param_profile(rspec)
     mem = estimate_model_memory(MemoryQuery(profile, n_batches, batch_size,
                                             kb_per_param))
+    return _features(rspec, profile, mem, node_free_bytes)
+
+
+def _features(rspec: cnn.ModelSpec, profile: ParamProfile, mem: int,
+              node_free_bytes: int) -> np.ndarray:
+    """feature_vector's row for a resolved spec, its profile and model bytes."""
+    weights, biases = _weight_bias_counts(rspec)
+    activations = sum(math.prod(layer.out_shape) for layer in rspec.layers)
     return np.array([profile.total, weights, biases, activations,
                      mem, node_free_bytes, node_free_bytes - mem],
                     dtype=np.float64)
@@ -202,15 +212,15 @@ def build_regressor_dataset(seed: int, n_samples: int) -> tuple[np.ndarray, np.n
     xs = np.zeros((n_samples, len(FEATURE_NAMES)), dtype=np.float64)
     ys = np.zeros(n_samples, dtype=np.float64)
     for i in range(n_samples):
-        spec = sample_model_spec(rng)
-        params = count_model_params(spec).total
+        rspec = cnn.resolve_spec(sample_model_spec(rng))
+        profile = _param_profile(rspec)
         target = (1 + rng.randint(16)) * 1024 * KB
-        scale = max(1, round(target / (params * KB)))
+        scale = max(1, round(target / (profile.total * KB)))
         if rng.randint(2):
             n_batches, batch_size = 1, scale
         else:
             n_batches, batch_size = scale, 1
-        mem = model_bytes(spec, n_batches=n_batches, batch_size=batch_size)
+        mem = estimate_model_memory(MemoryQuery(profile, n_batches, batch_size))
         roll = rng.randint(10)
         if roll == 0:
             node = mem
@@ -218,7 +228,7 @@ def build_regressor_dataset(seed: int, n_samples: int) -> tuple[np.ndarray, np.n
             node = int(mem * rng.uniform(0.2, 0.9))
         else:
             node = int(mem * rng.uniform(1.1, 1.8))
-        xs[i] = feature_vector(spec, node, n_batches=n_batches, batch_size=batch_size)
+        xs[i] = _features(rspec, profile, mem, node)
         ys[i] = 1.0 if mem <= node else 0.0
     return xs, ys
 

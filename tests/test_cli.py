@@ -271,3 +271,70 @@ def test_atomic_write_failure_leaves_nothing(tmp_path):
     with pytest.raises(OSError):
         cli._atomic_write(target, failing)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["partition", "--scenario", "fleet.json"],
+    ["simulate", "--scenario", "fleet.json", "--weights", "w.json",
+     "--corpus", "corpus"],
+])
+def test_nodes_not_a_count_exits_2(command, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        run("--quiet", *command, "--nodes", "two", "--out", out)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --nodes" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _assert_config_error(code, capsys, out):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not out.with_name(out.name + ".tmp").exists()
+
+
+def test_simulate_baseline_without_latency_exits_2(small_corpus, tiny_weights,
+                                                   tmp_path, capsys):
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text("{}")
+    out = tmp_path / "r.json"
+    code = run("--quiet", "simulate",
+               "--scenario", cli.data_path("scenarios", "reference_fleet.json"),
+               "--placement", cli.data_path("scenarios", "reference_fleet_nodes2.json"),
+               "--weights", tiny_weights, "--corpus", small_corpus, "--limit", 2,
+               "--baseline", baseline, "--out", out)
+    _assert_config_error(code, capsys, out)
+
+
+def test_report_baseline_without_latency_exits_2(tmp_path, capsys):
+    doc = {"parent_id": "p", "total_latency_max_sec": 1.0,
+           "total_latency_pipeline_sec": 1.0, "per_node": {}, "outputs": [],
+           "predictions": [], "input_labels": []}
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(doc))
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text("{}")
+    out = tmp_path / "metrics.json"
+    code = run("--quiet", "report", "--report", report, "--baseline", baseline,
+               "--out", out)
+    _assert_config_error(code, capsys, out)
+
+
+def test_manifest_image_missing_exits_2(small_corpus, tiny_weights, tmp_path,
+                                        capsys):
+    corpus = tmp_path / "corpus"
+    (corpus / "images").mkdir(parents=True)
+    manifest = json.loads((small_corpus / "manifest.json").read_text())
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    for entry in manifest["samples"][1:]:
+        (corpus / entry["file"]).write_bytes((small_corpus / entry["file"]).read_bytes())
+    out = tmp_path / "r.json"
+    code = run("--quiet", "simulate",
+               "--scenario", cli.data_path("scenarios", "demo_fleet.json"),
+               "--weights", tiny_weights, "--corpus", corpus, "--out", out)
+    _assert_config_error(code, capsys, out)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,170 @@ def test_pool_takes_max():
                             dtype=np.float32).reshape(2, 2, 1))
     out = cnn.layer_forward(layer, None, x)
     assert out.array.ravel().tolist() == [4.0]
+
+
+# --- fast kernels against the reference im2col and pool ---
+#
+# The references are the earlier kernels: im2col through sliding_window_view
+# plus a transposed reshape, pooling through a reshape and max. The fast
+# kernels must match them bit for bit, in float32 and in float64.
+
+def _ref_conv_cols(a, kh, kw):
+    windows = np.lib.stride_tricks.sliding_window_view(a, (kh, kw), axis=(0, 1))
+    oh, ow = windows.shape[0], windows.shape[1]
+    return windows.transpose(0, 1, 3, 4, 2).reshape(oh * ow, kh * kw * a.shape[2])
+
+
+def _ref_apply_conv(layer, w, b, a, out_dtype, c_order=False):
+    """The earlier conv kernel. For a kw == 1 kernel on one channel its
+    im2col reshape is a view, so astype handed BLAS an F-ordered operand;
+    c_order=True passes the C-ordered operand every other shape gets."""
+    kh, kw, f = layer.kernel_h, layer.kernel_w, layer.filters
+    oh, ow = a.shape[0] - kh + 1, a.shape[1] - kw + 1
+    cols = _ref_conv_cols(a, kh, kw).astype(np.float64)
+    if c_order:
+        cols = np.ascontiguousarray(cols)
+    w2 = w.reshape(kh * kw * a.shape[2], f).astype(np.float64)
+    z = (cols @ w2 + b.astype(np.float64)).reshape(oh, ow, f)
+    if layer.activation == "relu":
+        z = np.maximum(z, 0.0)
+    return z.astype(out_dtype)
+
+
+def _ref_pool(a, win):
+    oh, ow = a.shape[0] // win, a.shape[1] // win
+    return a[: oh * win, : ow * win, :].reshape(oh, win, ow, win, a.shape[2]) \
+        .max(axis=(1, 3))
+
+
+def _bits(arr):
+    return arr.view(np.uint64 if arr.dtype == np.float64 else np.uint32)
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(_bits(np.ascontiguousarray(got)),
+                          _bits(np.ascontiguousarray(want)))
+
+
+def _draws(shape, seed, dtype):
+    n = int(np.prod(shape))
+    return SplitMix64(seed).uniforms(n, -2.0, 2.0).astype(dtype).reshape(shape)
+
+
+_KERNEL_SIZES = ((3, 3), (5, 7), (6, 4), (11, 9))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c", [1, 3, 8])
+def test_conv_kernel_matches_reference_bits(dtype, c):
+    seed = 0
+    for h, w in _KERNEL_SIZES:
+        for kh in (1, 2, 3):
+            for kw in (1, 2, 3):
+                seed += 1
+                a = _draws((h, w, c), seed, dtype)
+                _assert_same_bits(cnn._conv_cols(a, kh, kw), _ref_conv_cols(a, kh, kw))
+                f = 1 + seed % 5
+                wt = _draws((kh, kw, c, f), seed + 1000, dtype)
+                b = _draws((f,), seed + 2000, dtype)
+                # Float64 products round, so the BLAS kernel an operand layout
+                # selects can show in the last bit. Float32 inputs multiply
+                # exactly in float64: that path matches the earlier kernel
+                # on every shape here.
+                c_order = dtype == np.float64 and kw == 1 and c == 1
+                for act in ("none", "relu"):
+                    layer = cnn.LayerSpec("Conv", kernel_h=kh, kernel_w=kw,
+                                          filters=f, activation=act)
+                    _assert_same_bits(cnn._apply_conv(layer, wt, b, a, dtype),
+                                      _ref_apply_conv(layer, wt, b, a, dtype, c_order))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c", [1, 3, 8])
+def test_pool_kernel_matches_reference_bits(dtype, c):
+    seed = 100
+    for h, w in _KERNEL_SIZES:
+        for win in (1, 2, 3):
+            seed += 1
+            a = _draws((h, w, c), seed, dtype)
+            got = cnn._apply_pool(cnn.LayerSpec("Pool", pool_window=win), a)
+            _assert_same_bits(got, _ref_pool(a, win))
+            assert not np.shares_memory(got, a)
+
+
+def test_im2col_index_cached_read_only():
+    idx = cnn._im2col_index(5, 4, 3, 2, 3)
+    assert idx is cnn._im2col_index(5, 4, 3, 2, 3)
+    assert not idx.flags.writeable
+    a = _draws((5, 4, 3), 1, np.float64)
+    cols = cnn._conv_cols(a, 2, 3)
+    cols[:] = 0.0  # the gather is a copy: the input stays untouched
+    assert np.array_equal(a, _draws((5, 4, 3), 1, np.float64))
+
+
+# --- finiteness checks ---
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tensor_rejects_non_finite(bad):
+    arr = np.zeros((2, 3, 1), dtype=np.float32)
+    arr[1, 2, 0] = bad
+    with pytest.raises(ShapeMismatch):
+        cnn.Tensor(arr)
+
+
+def test_dense_overflow_to_inf_rejected():
+    rspec = cnn.resolve_spec(cnn.ModelSpec((1, 2, 1), (
+        cnn.LayerSpec("Input"),
+        cnn.LayerSpec("Flatten"),
+        cnn.LayerSpec("Dense", units=1),
+        cnn.LayerSpec("Softmax", units=2),
+    )))
+    weights = cnn.LayerWeights(cnn.Tensor(np.full((2, 1), 3e38, dtype=np.float32)),
+                               cnn.Tensor(np.zeros(1, dtype=np.float32)))
+    x = cnn.Tensor(np.ones(2, dtype=np.float32))
+    with np.errstate(over="ignore"), pytest.raises(ShapeMismatch):
+        cnn.layer_forward(rspec.layers[2], weights, x)
+
+
+# --- pinned output bits ---
+#
+# sha256 digests measured with the earlier kernels (sliding_window_view
+# im2col, reshape-max pool). Any change to the forward or training float
+# arithmetic changes them.
+
+@pytest.fixture(scope="module")
+def pin_corpus():
+    from edgemal import features
+
+    bundle = features.gen_synthetic_corpus(samples_per_class=5, seed=7)
+    images = features.corpus_images(bundle, list(range(bundle.traces.rows.shape[1])))
+    return [features.image_to_tensor(img) for img in images], [img.label for img in images]
+
+
+def test_forward_bits_pinned(default_spec, pin_corpus):
+    from edgemal.cli import data_path
+
+    model = cnn.load_weights(data_path("trained", "default_weights.json"), default_spec)
+    digest = hashlib.sha256()
+    for x in pin_corpus[0]:
+        digest.update(cnn.forward(model, x).array.tobytes())
+    assert digest.hexdigest() == \
+        "38d28bd0af4da6f2983fe1fddd6222824666b7474029e2d4a07d0bf4f7d486c2"
+
+
+def test_training_bits_pinned(default_spec, pin_corpus):
+    tensors, labels = pin_corpus
+    trained, history = cnn.train_model(
+        cnn.build_model(default_spec, 42), tensors, labels, epochs=2,
+        learning_rate=0.1, batch_size=8, seed=42, clip_norm=0.5)
+    digest = hashlib.sha256()
+    for i in sorted(trained.weights):
+        digest.update(trained.weights[i].weight.array.tobytes())
+        digest.update(trained.weights[i].bias.array.tobytes())
+    digest.update(np.array(history, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == \
+        "743c8f4f12843971d961cc9fb8cda12d233e7ae631d6da1316c8708b3c741307"
 
 
 # --- flop counting ---

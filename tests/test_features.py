@@ -168,6 +168,31 @@ def test_downsample_checkerboard():
     assert np.all(features.downsample(img).pixels == 128)
 
 
+def _mean_downsample(img):
+    """The earlier formula: float64 block means, rounded half away from zero."""
+    grid = img.pixels.reshape(256, 256).astype(np.float64)
+    means = grid.reshape(32, 8, 32, 8).mean(axis=(1, 3))
+    return np.floor(means + 0.5).astype(np.uint8).ravel()
+
+
+def test_downsample_matches_float_mean():
+    images = [np.full(features.PIXELS, v, np.uint8) for v in (0, 1, 127, 128, 255)]
+    for seed in range(20):
+        draws = SplitMix64(seed).uniforms(features.PIXELS, 0.0, 256.0)
+        images.append(np.minimum(draws, 255.0).astype(np.uint8))
+    # rounding ties: every block sums to 64 * base + 32 (mean base + 0.5)
+    for seed in range(5):
+        base = (SplitMix64(100 + seed).uniforms(32 * 32, 0.0, 255.0)
+                .astype(np.uint8).reshape(32, 32))
+        blocks = np.repeat(np.repeat(base, 8, axis=0), 8, axis=1)
+        blocks[::2, :] += 1  # 4 of 8 rows: 32 pixels per block
+        assert np.all(blocks.reshape(32, 8, 32, 8).sum(axis=(1, 3)) % 64 == 32)
+        images.append(blocks.ravel())
+    for pixels in images:
+        img = features.GrayImage(256, pixels, 1)
+        assert features.downsample(img).pixels.tobytes() == _mean_downsample(img).tobytes()
+
+
 def test_downsample_wrong_side():
     with pytest.raises(WrongSide):
         features.downsample(features.GrayImage(32, np.zeros(1024, np.uint8), 0))
