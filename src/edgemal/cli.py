@@ -6,7 +6,8 @@ and metric reports. Every command is file-based and reproducible: identical
 inputs and seed give byte-identical outputs, and outputs are written to a
 temporary file and renamed so failures never leave partial artifacts.
 
-Exit codes: 0 success, 2 configuration errors, 3 domain errors.
+Exit codes: 0 success, 2 configuration errors (a missing or malformed input
+file, an out-of-range flag), 3 domain errors.
 """
 
 from __future__ import annotations
@@ -61,19 +62,30 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _load_json(path: Path):
+def _load(path, parse, *args, json_doc: bool = True):
+    """Read the input file at `path`: `parse(doc, *args)` on its decoded JSON,
+    or, with `json_doc=False`, `parse(path, *args)` for a library reader that
+    opens the file itself (the traces CSV, the corpus images).
+
+    The CLI reads every input here. A file that cannot be read, and any
+    KeyError, IndexError, TypeError, ValueError or AttributeError (a value of
+    the wrong JSON type) from decoding or parsing, is a configuration error;
+    domain errors pass through.
+    """
     try:
+        if not json_doc:
+            return parse(path, *args)
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise _ConfigError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise _ConfigError(f"invalid JSON in {path}: {exc}") from exc
+            doc = json.load(fh)
+        return parse(doc, *args)
+    except OSError as exc:
+        raise _ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise _ConfigError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _load_spec(path: str | None) -> cnn.ModelSpec:
-    spec_path = Path(path) if path else data_path("default_model.json")
-    return cnn.spec_from_json(_load_json(spec_path))
+    return _load(path or data_path("default_model.json"), cnn.spec_from_json)
 
 
 def _info(args, message: str) -> None:
@@ -88,6 +100,9 @@ def _pgm_name(index: int) -> str:
 
 
 def cmd_gen_corpus(args) -> int:
+    if args.events < args.classes - 1:
+        raise _ConfigError(f"--events must be >= {args.classes - 1} for "
+                           f"{args.classes} classes, got {args.events}")
     out = Path(args.out)
     (out / "images").mkdir(parents=True, exist_ok=True)
     if args.full_res:
@@ -136,33 +151,29 @@ def cmd_gen_corpus(args) -> int:
     return EXIT_OK
 
 
+def _manifest_from_json(doc) -> tuple[list, list[tuple[str, int]]]:
+    """A corpus manifest's class names and (image file, label) samples."""
+    samples = [(entry["file"], int(entry["label"])) for entry in doc["samples"]]
+    if not all(isinstance(name, str) for name, _ in samples):
+        raise TypeError("sample file names must be strings")
+    return doc["class_names"], samples
+
+
 def _load_corpus(corpus_dir: Path, limit: int = 0):
-    manifest = _load_json(corpus_dir / "manifest.json")
-    samples = manifest["samples"]
+    class_names, samples = _load(corpus_dir / "manifest.json", _manifest_from_json)
     if limit > 0:
         samples = samples[:limit]
-    images = []
-    labels = []
-    names = []
-    for entry in samples:
-        path = corpus_dir / entry["file"]
-        try:
-            img = features.read_pgm(path, entry["label"])
-        except OSError as exc:
-            raise _ConfigError(f"cannot read corpus image {path}: {exc.strerror}") from exc
-        images.append(features.image_to_tensor(img))
-        labels.append(int(entry["label"]))
-        names.append(entry["file"])
-    return manifest, images, labels, names
+    images = [features.image_to_tensor(
+        _load(corpus_dir / name, features.read_pgm, label, json_doc=False))
+        for name, label in samples]
+    return (class_names, images, [label for _, label in samples],
+            [name for name, _ in samples])
 
 
 # --- event ranking --------------------------------------------------------------
 
 def cmd_rank_events(args) -> int:
-    try:
-        traces = features.read_traces_csv(Path(args.traces))
-    except FileNotFoundError as exc:
-        raise _ConfigError(f"file not found: {args.traces}") from exc
+    traces = _load(args.traces, features.read_traces_csv, json_doc=False)
     ranked = features.rank_events(traces)
     doc = features.ranked_to_json(ranked)
     if args.out:
@@ -187,7 +198,7 @@ def _accuracy(model: cnn.Model, images, labels) -> float:
 
 def cmd_train(args) -> int:
     corpus_dir = Path(args.corpus)
-    manifest, images, labels, _ = _load_corpus(corpus_dir)
+    class_names, images, labels, _ = _load_corpus(corpus_dir)
     spec = _load_spec(args.model)
     train_idx, test_idx = features.split_corpus(labels, args.train_frac, args.seed)
     model = cnn.build_model(spec, args.seed)
@@ -209,7 +220,7 @@ def cmd_train(args) -> int:
             "test_accuracy": test_acc,
             "train_samples": len(train_idx),
             "test_samples": len(test_idx),
-            "classes": manifest["class_names"],
+            "classes": class_names,
         }))
     _info(args, f"train accuracy {train_acc:.4f}  test accuracy {test_acc:.4f}")
     return EXIT_OK
@@ -219,20 +230,22 @@ def cmd_train(args) -> int:
 
 def _get_regressor(args) -> resources.RegressorModel:
     if getattr(args, "regressor", None):
-        return resources.regressor_from_json(_load_json(Path(args.regressor)))
+        return _load(args.regressor, resources.regressor_from_json)
     dataset = resources.build_regressor_dataset(args.seed, _REGRESSOR_TRAIN_SAMPLES)
     return resources.fit_regressor(dataset)
+
+
+def _scale(args) -> dict:
+    """The memory-model scale flags as keyword arguments."""
+    return {"n_batches": args.n_batches, "batch_size": args.batch_size,
+            "kb_per_param": args.kb_per_param}
 
 
 def cmd_estimate(args) -> int:
     spec = _load_spec(args.model)
     reg = _get_regressor(args)
-    decision = resources.predict_offload(
-        reg, spec, args.node_free, n_batches=args.n_batches,
-        batch_size=args.batch_size, kb_per_param=args.kb_per_param)
-    mem = resources.model_bytes(spec, n_batches=args.n_batches,
-                                batch_size=args.batch_size,
-                                kb_per_param=args.kb_per_param)
+    decision = resources.predict_offload(reg, spec, args.node_free, **_scale(args))
+    mem = resources.model_bytes(spec, **_scale(args))
     record = {
         "verdict": decision.verdict,
         "score": decision.score,
@@ -256,10 +269,8 @@ def cmd_estimate(args) -> int:
 
 # --- partition ----------------------------------------------------------------------
 
-def _build_placement(scenario, spec, nodes_arg, *, n_batches, batch_size,
-                     kb_per_param) -> partitioning.Placement:
-    mem = resources.model_bytes(spec, n_batches=n_batches, batch_size=batch_size,
-                                kb_per_param=kb_per_param)
+def _build_placement(scenario, spec, nodes_arg, scale) -> partitioning.Placement:
+    mem = resources.model_bytes(spec, **scale)
     if nodes_arg == "parent-only":
         parent = scenario.node(scenario.parent_id)
         if mem > parent.mem_free_bytes:
@@ -272,23 +283,16 @@ def _build_placement(scenario, spec, nodes_arg, *, n_batches, batch_size,
         if nodes_arg > len(candidates):
             raise _ConfigError(f"--nodes must be in [1, {len(candidates)}]")
         chosen = candidates[:nodes_arg]
-        return partitioning.partition_layers(spec, chosen, n_batches=n_batches,
-                                             batch_size=batch_size,
-                                             kb_per_param=kb_per_param)
-    chosen = partitioning.select_nodes(scenario, scenario.parent_id,
-                                       scenario.radius_r, mem, scenario.max_nodes)
-    return partitioning.partition_layers(spec, chosen, n_batches=n_batches,
-                                         batch_size=batch_size,
-                                         kb_per_param=kb_per_param)
+    else:
+        chosen = partitioning.select_nodes(scenario, scenario.parent_id,
+                                           scenario.radius_r, mem, scenario.max_nodes)
+    return partitioning.partition_layers(spec, chosen, **scale)
 
 
 def cmd_partition(args) -> int:
-    scenario = partitioning.scenario_from_json(_load_json(Path(args.scenario)))
+    scenario = _load(args.scenario, partitioning.scenario_from_json)
     spec = _load_spec(args.model)
-    placement = _build_placement(scenario, spec, args.nodes,
-                                 n_batches=args.n_batches,
-                                 batch_size=args.batch_size,
-                                 kb_per_param=args.kb_per_param)
+    placement = _build_placement(scenario, spec, args.nodes, _scale(args))
     _atomic_write_text(Path(args.out),
                        _dump_json(partitioning.placement_to_json(placement)))
     ranges = ", ".join(f"{nid}:[{lo}..{hi - 1}]"
@@ -299,51 +303,45 @@ def cmd_partition(args) -> int:
 
 # --- simulate -----------------------------------------------------------------------
 
-def _load_faults(path: Path) -> list[simulation.FaultEvent]:
-    doc = _load_json(path)
+def _faults_from_json(doc) -> list[simulation.FaultEvent]:
     return [simulation.FaultEvent(entry["node_id"], float(entry["time_sec"]))
             for entry in doc]
 
 
-def _latency_of(doc: dict) -> SimpleNamespace:
+def _latency_of(doc) -> SimpleNamespace:
     """A report JSON as far as `simulation.speedup` reads it."""
-    latency = doc.get("total_latency_max_sec") if isinstance(doc, dict) else None
+    latency = doc["total_latency_max_sec"]
     if not isinstance(latency, (int, float)):
-        raise _ConfigError("report JSON lacks a numeric total_latency_max_sec")
+        raise TypeError(f"total_latency_max_sec is not a number: {latency!r}")
     return SimpleNamespace(total_latency_max_sec=latency)
-
-
-def _simulate_one(scenario_path: Path, args, spec, model, images, labels, names):
-    scenario = partitioning.scenario_from_json(_load_json(scenario_path))
-    if args.placement:
-        placement = partitioning.placement_from_json(_load_json(Path(args.placement)))
-    else:
-        placement = _build_placement(scenario, spec, args.nodes,
-                                     n_batches=args.n_batches,
-                                     batch_size=args.batch_size,
-                                     kb_per_param=args.kb_per_param)
-    faults = _load_faults(Path(args.faults)) if args.faults else []
-    report = simulation.simulate_inference(
-        scenario, placement, model, images, faults,
-        n_batches=args.n_batches, batch_size=args.batch_size,
-        kb_per_param=args.kb_per_param)
-    report.input_labels = labels
-    report.input_files = names
-    if args.baseline:
-        report.speedup_vs_baseline = simulation.speedup(
-            _latency_of(_load_json(Path(args.baseline))), report)
-    return report
 
 
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.model)
-    model = cnn.weights_from_json(_load_json(Path(args.weights)), spec)
+    model = _load(args.weights, cnn.weights_from_json, spec)
     _, images, labels, names = _load_corpus(Path(args.corpus), args.limit)
     scenario_paths = [Path(p) for p in args.scenario]
+    scenarios = [_load(path, partitioning.scenario_from_json)
+                 for path in scenario_paths]
+    placement = (_load(args.placement, partitioning.placement_from_json)
+                 if args.placement else None)
+    faults = _load(args.faults, _faults_from_json) if args.faults else []
+    baseline = _load(args.baseline, _latency_of) if args.baseline else None
 
-    if len(scenario_paths) == 1:
-        report = _simulate_one(scenario_paths[0], args, spec, model,
-                               images, labels, names)
+    scale = _scale(args)
+    reports = []
+    for scenario in scenarios:
+        placed = placement or _build_placement(scenario, spec, args.nodes, scale)
+        report = simulation.simulate_inference(scenario, placed, model, images,
+                                               faults, **scale)
+        report.input_labels = labels
+        report.input_files = names
+        if baseline is not None:
+            report.speedup_vs_baseline = simulation.speedup(baseline, report)
+        reports.append(report)
+
+    if len(reports) == 1:
+        report = reports[0]
         _atomic_write_text(Path(args.out),
                            _dump_json(simulation.report_to_json(report)))
         if args.event_log:
@@ -356,8 +354,6 @@ def cmd_simulate(args) -> int:
     # scenario list: one report per scenario, in the order given
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = [_simulate_one(path, args, spec, model, images, labels, names)
-               for path in scenario_paths]
     for path, report in zip(scenario_paths, reports):
         target = out_dir / (path.stem + "_report.json")
         _atomic_write_text(target, _dump_json(simulation.report_to_json(report)))
@@ -402,22 +398,24 @@ def classification_metrics(predictions: list[int], labels: list[int],
     }
 
 
-def cmd_report(args) -> int:
-    doc = _load_json(Path(args.report))
+def _summarize_report(doc, manifest, baseline) -> tuple[dict, list[str]]:
+    """The metrics JSON and the printed lines of `report` for a report JSON;
+    `manifest` (class names, samples) and `baseline` are parsed or None."""
     predictions = doc.get("predictions", [])
     labels = doc.get("input_labels")
     class_names = None
-    if args.manifest:
-        manifest = _load_json(Path(args.manifest))
-        class_names = manifest["class_names"]
-        by_file = {s["file"]: int(s["label"]) for s in manifest["samples"]}
+    if manifest is not None:
+        class_names, samples = manifest
         if doc.get("input_files"):
+            by_file = dict(samples)
             labels = [by_file[name] for name in doc["input_files"]]
     if labels is None:
         raise _ConfigError("report lacks input_labels; pass --manifest")
     class_count = len(class_names) if class_names else max(
         len(doc["outputs"][0]) if doc.get("outputs") else 0,
         max(labels, default=0) + 1)
+    if len(predictions) != len(labels) or min(predictions + labels, default=0) < 0:
+        raise ValueError("predictions and labels must pair up as class indices")
 
     metrics = classification_metrics(predictions, labels, class_count)
     result = {
@@ -426,27 +424,33 @@ def cmd_report(args) -> int:
         "total_latency_pipeline_sec": doc["total_latency_pipeline_sec"],
         "faults_handled": doc.get("faults_handled", 0),
     }
-    if args.baseline:
-        result["speedup_vs_baseline"] = simulation.speedup(
-            _latency_of(_load_json(Path(args.baseline))), _latency_of(doc))
+    if baseline is not None:
+        result["speedup_vs_baseline"] = simulation.speedup(baseline, _latency_of(doc))
     elif "speedup_vs_baseline" in doc:
         result["speedup_vs_baseline"] = doc["speedup_vs_baseline"]
 
-    print(f"samples          {metrics['samples']}")
-    print(f"accuracy         {metrics['accuracy']:.4f}")
-    print(f"macro F1         {metrics['macro_f1']:.4f}")
-    print(f"macro recall     {metrics['macro_recall']:.4f}")
-    print(f"latency (max)    {doc['total_latency_max_sec']:.6f} s")
-    print(f"latency (1-shot) {doc['total_latency_pipeline_sec']:.6f} s")
+    lines = [f"samples          {metrics['samples']}",
+             f"accuracy         {metrics['accuracy']:.4f}",
+             f"macro F1         {metrics['macro_f1']:.4f}",
+             f"macro recall     {metrics['macro_recall']:.4f}",
+             f"latency (max)    {doc['total_latency_max_sec']:.6f} s",
+             f"latency (1-shot) {doc['total_latency_pipeline_sec']:.6f} s"]
     if "speedup_vs_baseline" in result:
-        print(f"speedup          {result['speedup_vs_baseline']:.4f}x")
-    print("node               bytes        busy_sec    layers")
+        lines.append(f"speedup          {result['speedup_vs_baseline']:.4f}x")
+    lines.append("node               bytes        busy_sec    layers")
     for nid in sorted(doc["per_node"],
                       key=lambda n: (n != doc["parent_id"], n)):
         entry = doc["per_node"][nid]
-        print(f"{nid:<12} {entry['bytes_consumed']:>12} "
-              f"{entry['busy_sec']:>15.6f} {entry['layers_executed']:>9}")
+        lines.append(f"{nid:<12} {entry['bytes_consumed']:>12} "
+                     f"{entry['busy_sec']:>15.6f} {entry['layers_executed']:>9}")
+    return result, lines
 
+
+def cmd_report(args) -> int:
+    manifest = _load(args.manifest, _manifest_from_json) if args.manifest else None
+    baseline = _load(args.baseline, _latency_of) if args.baseline else None
+    result, lines = _load(args.report, _summarize_report, manifest, baseline)
+    print("\n".join(lines))
     if args.out:
         _atomic_write_text(Path(args.out), _dump_json(result))
     return EXIT_OK
@@ -454,11 +458,25 @@ def cmd_report(args) -> int:
 
 # --- parser -------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    """argparse type for the memory-model scale factors."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+def _int_at_least(low: int):
+    """argparse type for an integer flag that must be >= `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports "invalid int value: ..."
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _fraction(text: str) -> float:
+    """argparse type for --train-frac: a float in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
     return value
 
 
@@ -486,11 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-corpus", parents=[common],
                        help="generate the synthetic labeled corpus")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--per-class", type=int, default=200)
+    p.add_argument("--per-class", type=_positive_int, default=200)
     p.add_argument("--events", type=int, default=16)
     p.add_argument("--noise", type=float, default=4.0)
-    p.add_argument("--classes", type=int, default=6)
-    p.add_argument("--top-events", type=int, default=8)
+    p.add_argument("--classes", type=_int_at_least(2), default=6)
+    p.add_argument("--top-events", type=_positive_int, default=8)
     p.add_argument("--full-res", action="store_true",
                    help="also write the 256x256 images")
     p.set_defaults(func=cmd_gen_corpus)
@@ -498,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank-events", parents=[common], help="rank trace events by correlation")
     p.add_argument("--traces", required=True, help="traces CSV")
     p.add_argument("--out", help="ranked events JSON")
-    p.add_argument("--top", type=int, default=0, help="print only the top K")
+    p.add_argument("--top", type=_int_at_least(0), default=0, help="print only the top K")
     p.set_defaults(func=cmd_rank_events)
 
     p = sub.add_parser("train", parents=[common], help="train the classifier on a corpus")
@@ -506,17 +524,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model spec JSON (default: shipped)")
     p.add_argument("--epochs", type=int, default=60)
     p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--clip-norm", type=float, default=0.5,
                    help="global gradient-norm bound (0 disables)")
-    p.add_argument("--train-frac", type=float, default=0.7)
+    p.add_argument("--train-frac", type=_fraction, default=0.7)
     p.add_argument("--out", required=True, help="weights JSON")
     p.add_argument("--history", help="training history JSON")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("estimate", parents=[common], help="on-device vs offload decision")
     p.add_argument("--model", help="model spec JSON (default: shipped)")
-    p.add_argument("--node-free", type=int, required=True,
+    p.add_argument("--node-free", type=_int_at_least(0), required=True,
                    help="free bytes on the node")
     p.add_argument("--n-batches", type=_positive_int, default=1)
     p.add_argument("--batch-size", type=_positive_int, default=1)
@@ -549,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-batches", type=_positive_int, default=1)
     p.add_argument("--batch-size", type=_positive_int, default=1)
     p.add_argument("--kb-per-param", type=_positive_int, default=1)
-    p.add_argument("--limit", type=int, default=0,
+    p.add_argument("--limit", type=_int_at_least(0), default=0,
                    help="use only the first N corpus samples")
     p.add_argument("--faults", help="fault schedule JSON")
     p.add_argument("--baseline", help="baseline report JSON for speedup")

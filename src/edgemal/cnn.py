@@ -640,12 +640,6 @@ def load_spec(path) -> ModelSpec:
         return spec_from_json(json.load(fh))
 
 
-def save_spec(spec: ModelSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_json(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def weights_to_json(model: Model) -> dict:
     layers = {}
     for i, lw in model.weights.items():
@@ -666,14 +660,3 @@ def weights_from_json(doc: dict, spec: ModelSpec) -> Model:
         b = np.asarray(entry["bias"], dtype=np.float32)
         weights[int(key)] = LayerWeights(Tensor(w), Tensor(b))
     return Model(rspec, weights)
-
-
-def load_weights(path, spec: ModelSpec) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        return weights_from_json(json.load(fh), spec)
-
-
-def save_weights(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(weights_to_json(model), fh, sort_keys=True)
-        fh.write("\n")

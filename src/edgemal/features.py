@@ -334,7 +334,7 @@ def write_traces_csv(traces: TraceSet, path) -> None:
 def read_traces_csv(path, class_names: list[str] | None = None) -> TraceSet:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if not header or header[-1] != "label":
             raise ShapeMismatch("trace CSV must end with a label column")
         names = header[:-1]

@@ -9,7 +9,6 @@ the same placement.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,6 +26,12 @@ COMM_PROBE_BYTES = 1 << 20
 ACTIVATION_BYTES = 4  # float32 elements crossing a cut
 
 
+def _check_node_ids(ids) -> None:
+    for node_id in ids:
+        if not isinstance(node_id, str):
+            raise ValueError(f"node id must be a string, got {node_id!r}")
+
+
 @dataclass(frozen=True)
 class NodeProfile:
     """One simulated IoT device."""
@@ -39,12 +44,18 @@ class NodeProfile:
     online: bool = True
 
     def __post_init__(self) -> None:
+        _check_node_ids([self.id])
         if self.mem_free_bytes < 0:
             raise ValueError(f"node {self.id}: mem_free_bytes must be >= 0")
         if not 0.0 <= self.workload_frac <= 1.0:
             raise ValueError(f"node {self.id}: workload_frac must be in [0, 1]")
         if self.speed_flops_per_sec <= 0.0:
             raise ValueError(f"node {self.id}: speed must be positive")
+        if not isinstance(self.online, bool):
+            raise ValueError(f"node {self.id}: online must be true or false")
+        if (len(self.position) != 2
+                or not all(isinstance(v, (int, float)) for v in self.position)):
+            raise ValueError(f"node {self.id}: position must be two numbers")
 
 
 @dataclass(frozen=True)
@@ -77,6 +88,10 @@ class NetworkScenario:
     max_nodes: int = 4
 
     def __post_init__(self) -> None:
+        if self.radius_r < 0.0:
+            raise ValueError("radius_r must be >= 0")
+        if self.max_nodes < 1:
+            raise ValueError("max_nodes must be >= 1")
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ValueError("node ids must be unique")
@@ -299,6 +314,9 @@ def validate_placement(placement: Placement, network: NetworkScenario,
         violations.append(Violation(
             "NotContiguous", f"ranges extend past the last layer ({n_layers - 1})"))
 
+    if not network.has_node(placement.parent_id):
+        violations.append(Violation(
+            "UnknownNode", f"parent {placement.parent_id!r} not in fleet"))
     for node_id, (lo, hi) in placement.assignments:
         if not network.has_node(node_id):
             violations.append(Violation("UnknownNode", f"node {node_id!r} not in fleet"))
@@ -360,7 +378,7 @@ def scenario_from_json(doc: dict) -> NetworkScenario:
             speed_flops_per_sec=float(entry["speed_flops_per_sec"]),
             workload_frac=float(entry.get("workload_frac", 0.0)),
             position=tuple(entry.get("position", (0.0, 0.0))),
-            online=bool(entry.get("online", True)),
+            online=entry.get("online", True),
         )
         for entry in doc["nodes"]
     ]
@@ -377,17 +395,6 @@ def scenario_from_json(doc: dict) -> NetworkScenario:
                            doc["parent_id"], int(doc.get("max_nodes", 4)))
 
 
-def load_scenario(path) -> NetworkScenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_json(json.load(fh))
-
-
-def save_scenario(scenario: NetworkScenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_json(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def placement_to_json(placement: Placement) -> dict:
     return {
         "parent_id": placement.parent_id,
@@ -402,16 +409,6 @@ def placement_to_json(placement: Placement) -> dict:
 def placement_from_json(doc: dict) -> Placement:
     assignments = [(entry["node_id"], (int(entry["layers"][0]), int(entry["layers"][1])))
                    for entry in doc["assignments"]]
+    _check_node_ids([doc["parent_id"], *(node_id for node_id, _ in assignments)])
     return Placement(assignments, [int(v) for v in doc.get("cut_bytes", [])],
                      doc["parent_id"])
-
-
-def load_placement(path) -> Placement:
-    with open(path, "r", encoding="utf-8") as fh:
-        return placement_from_json(json.load(fh))
-
-
-def save_placement(placement: Placement, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(placement_to_json(placement), fh, indent=2, sort_keys=True)
-        fh.write("\n")

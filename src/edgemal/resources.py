@@ -9,7 +9,6 @@ overflow.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -295,20 +294,14 @@ def regressor_to_json(reg: RegressorModel) -> dict:
 
 
 def regressor_from_json(doc: dict) -> RegressorModel:
-    return RegressorModel(
+    reg = RegressorModel(
         np.asarray(doc["beta"], dtype=np.float64),
         tuple(doc["feature_names"]),
         np.asarray(doc["mean"], dtype=np.float64),
         np.asarray(doc["std"], dtype=np.float64),
     )
-
-
-def load_regressor(path) -> RegressorModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return regressor_from_json(json.load(fh))
-
-
-def save_regressor(reg: RegressorModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(regressor_to_json(reg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    n = len(reg.feature_names)
+    if reg.beta.shape != (n + 1,) or reg.mean.shape != (n,) or reg.std.shape != (n,):
+        raise ValueError("regressor needs a mean, a std and a weight per feature,"
+                         " plus a bias")
+    return reg

@@ -15,7 +15,6 @@ no recovery traffic.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -48,6 +47,10 @@ class FaultEvent:
 
     node_id: str
     time_sec: float
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.node_id, str):
+            raise ValueError(f"fault node id must be a string, got {self.node_id!r}")
 
 
 @dataclass
@@ -345,9 +348,3 @@ def write_event_log(report: SimReport, path) -> None:
         for event in report.events:
             writer.writerow([repr(event.time_sec), event.node_id, event.kind,
                              event.bytes])
-
-
-def save_report(report: SimReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_json(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")

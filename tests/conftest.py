@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,3 +30,7 @@ def rand_tensor(shape, seed, lo=0.0, hi=1.0) -> cnn.Tensor:
     """Deterministic test input: SplitMix64 uniforms in row-major order."""
     draws = SplitMix64(seed).uniforms(int(np.prod(shape)), lo, hi)
     return cnn.Tensor(draws.astype(np.float32).reshape(shape))
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))

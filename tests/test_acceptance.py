@@ -13,7 +13,7 @@ from edgemal.cli import data_path
 from edgemal.errors import InfeasiblePartition, InsufficientResources
 from edgemal.rng import SplitMix64
 
-from conftest import rand_tensor
+from conftest import rand_tensor, read_json
 
 MB = 1024 * 1024
 
@@ -239,15 +239,15 @@ def test_criterion_6_detection_accuracy(default_spec):
 # -- 7 and 8 ------------------------------------------------------------------
 
 def _reference_runs(default_spec):
-    scenario = partitioning.load_scenario(
-        data_path("scenarios", "reference_fleet.json"))
+    scenario = partitioning.scenario_from_json(
+        read_json(data_path("scenarios", "reference_fleet.json")))
     model = cnn.build_model(default_spec, 42)
     x = rand_tensor((32, 32, 1), 0, -128.0, 127.0)
     base = simulation.simulate_on_device(scenario, scenario.parent_id, model, [x])
     runs = [(1, base)]
     for k in (2, 3, 4):
-        placement = partitioning.load_placement(
-            data_path("scenarios", f"reference_fleet_nodes{k}.json"))
+        placement = partitioning.placement_from_json(
+            read_json(data_path("scenarios", f"reference_fleet_nodes{k}.json")))
         runs.append((k, simulation.simulate_inference(
             scenario, placement, model, [x])))
     return runs
@@ -282,7 +282,8 @@ def test_criterion_8_resource_report_shape(default_spec):
             shape_ok = False
 
     # demo fleet, automatically partitioned
-    demo = partitioning.load_scenario(data_path("scenarios", "demo_fleet.json"))
+    demo = partitioning.scenario_from_json(
+        read_json(data_path("scenarios", "demo_fleet.json")))
     mem = resources.model_bytes(default_spec)
     chosen = partitioning.select_nodes(demo, demo.parent_id, demo.radius_r,
                                        mem, demo.max_nodes)

@@ -1,11 +1,19 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edgemal import cli, simulation
+from edgemal import cli, resources, simulation
+
+from conftest import read_json
 
 
 def run(*argv) -> int:
@@ -338,3 +346,216 @@ def test_manifest_image_missing_exits_2(small_corpus, tiny_weights, tmp_path,
                "--scenario", cli.data_path("scenarios", "demo_fleet.json"),
                "--weights", tiny_weights, "--corpus", corpus, "--out", out)
     _assert_config_error(code, capsys, out)
+
+
+_DROP = object()
+
+
+def _set(path, value):
+    """A mutation: a copy of the JSON document with the value at `path`
+    replaced by `value`, or deleted when `value` is _DROP."""
+    def mutate(doc):
+        doc = copy.deepcopy(doc)
+        *head, last = path
+        node = doc
+        for key in head:
+            node = node[key]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[last] = value
+        return doc
+    return mutate
+
+
+def _shipped_inputs(tiny_weights):
+    """Valid JSON inputs: the reference fleet with its 2-node placement and a
+    fault on the child, the shipped spec and the tiny test weights."""
+    return {
+        "scenario": read_json(cli.data_path("scenarios", "reference_fleet.json")),
+        "placement": read_json(cli.data_path("scenarios", "reference_fleet_nodes2.json")),
+        "faults": [{"node_id": "c1", "time_sec": 0.0}],
+        "spec": read_json(cli.data_path("default_model.json")),
+        "weights": read_json(tiny_weights),
+    }
+
+
+def _simulate_argv(files, corpus, out):
+    return ["simulate", "--scenario", files["scenario"],
+            "--placement", files["placement"], "--faults", files["faults"],
+            "--model", files["spec"], "--weights", files["weights"],
+            "--corpus", corpus, "--limit", 2, "--out", out]
+
+
+def _write_inputs(root: Path, docs: dict) -> dict:
+    files = {}
+    for name, doc in docs.items():
+        files[name] = root / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    return files
+
+
+_FEATURES = list(resources.FEATURE_NAMES)
+_REPORT_OK = {"parent_id": "p", "total_latency_max_sec": 1.0,
+              "total_latency_pipeline_sec": 1.0, "per_node": {},
+              "outputs": [[0.9, 0.1]], "predictions": [0], "input_labels": [0]}
+
+
+@pytest.mark.parametrize("target, mutate, command", [
+    pytest.param("scenario", _set(("nodes", 0, "mem_free_bytes"), -1), "simulate",
+                 id="scenario-negative-mem"),
+    pytest.param("scenario", _set(("links",), _DROP), "simulate",
+                 id="scenario-no-links"),
+    pytest.param("scenario", _set(("nodes", 1, "speed_flops_per_sec"), "fast"),
+                 "simulate", id="scenario-string-speed"),
+    pytest.param("scenario", lambda doc: [doc], "simulate", id="scenario-json-list"),
+    pytest.param("scenario", _set(("nodes", 1, "online"), "false"), "partition",
+                 id="scenario-online-string"),
+    pytest.param("scenario", _set(("nodes", 1, "position"), [1]), "partition",
+                 id="scenario-position-1d"),
+    pytest.param("scenario", _set(("nodes", 1, "id"), 7), "partition",
+                 id="scenario-int-node-id"),
+    pytest.param("scenario", _set(("radius_r",), -1.0), "partition",
+                 id="scenario-negative-radius"),
+    pytest.param("scenario", _set(("max_nodes",), 0), "partition",
+                 id="scenario-max-nodes-0"),
+    pytest.param("faults", _set((0, "time_sec"), "soon"), "simulate",
+                 id="faults-time-soon"),
+    pytest.param("faults", _set((0, "node_id"), _DROP), "simulate",
+                 id="faults-no-node-id"),
+    pytest.param("faults", _set((0, "node_id"), ["c1"]), "simulate",
+                 id="faults-list-node-id"),
+    pytest.param("placement", _set(("assignments", 1, "layers"), _DROP), "simulate",
+                 id="placement-no-layers"),
+    pytest.param("placement", _set(("parent_id",), ["p0"]), "simulate",
+                 id="placement-list-parent"),
+    pytest.param("report", lambda doc: {"predictions": [], "input_labels": []},
+                 "report", id="report-no-latency"),
+    pytest.param("spec", _set(("input_shape",), _DROP), "simulate",
+                 id="spec-no-input-shape"),
+    pytest.param("weights", _set(("layers", "1", "weight_shape"), _DROP), "simulate",
+                 id="weights-no-weight-shape"),
+    pytest.param("report", lambda doc: {**_REPORT_OK, "input_labels": [-1]}, "report",
+                 id="report-negative-label"),
+    pytest.param("report", lambda doc: {**_REPORT_OK, "predictions": [0, 1]}, "report",
+                 id="report-unpaired-predictions"),
+    pytest.param("regressor", lambda doc: {"beta": [0.0] * 6}, "estimate",
+                 id="regressor-only-beta"),
+    pytest.param("regressor", lambda doc: {"beta": [0.0] * (len(_FEATURES) + 1),
+                                           "feature_names": _FEATURES, "mean": [0.0],
+                                           "std": [1.0] * len(_FEATURES)}, "estimate",
+                 id="regressor-short-mean"),
+    pytest.param("manifest", _set(("samples",), _DROP), "simulate",
+                 id="manifest-no-samples-simulate"),
+    pytest.param("manifest", _set(("samples", 0, "file"), 5), "simulate",
+                 id="manifest-int-file"),
+    pytest.param("manifest", _set(("samples",), _DROP), "train",
+                 id="manifest-no-samples-train"),
+])
+def test_malformed_input_exits_2(target, mutate, command, small_corpus,
+                                 tiny_weights, tmp_path, capsys):
+    docs = _shipped_inputs(tiny_weights)
+    docs["report"] = docs["regressor"] = {}
+    docs["manifest"] = read_json(small_corpus / "manifest.json")
+    docs[target] = mutate(docs[target])
+    files = _write_inputs(tmp_path, docs)
+    corpus = small_corpus
+    if target == "manifest":
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        files["manifest"].rename(corpus / "manifest.json")
+    out = tmp_path / "out.json"
+    argv = {
+        "simulate": _simulate_argv(files, corpus, out),
+        "partition": ["partition", "--scenario", files["scenario"], "--out", out],
+        "report": ["report", "--report", files["report"], "--out", out],
+        "estimate": ["estimate", "--regressor", files["regressor"],
+                     "--node-free", 1000, "--out", out],
+        "train": ["train", "--corpus", corpus, "--epochs", 1, "--out", out],
+    }[command]
+    _assert_config_error(run("--quiet", *argv), capsys, out)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["gen-corpus", "--per-class", 0], "--per-class", id="per-class-0"),
+    pytest.param(["gen-corpus", "--classes", 1], "--classes", id="classes-1"),
+    pytest.param(["gen-corpus", "--classes", 0], "--classes", id="classes-0"),
+    pytest.param(["gen-corpus", "--events", 2], "--events", id="events-below-classes"),
+    pytest.param(["gen-corpus", "--top-events", 0], "--top-events", id="top-events-0"),
+    pytest.param(["rank-events", "--traces", "traces.csv", "--top", -1], "--top",
+                 id="top-negative"),
+    pytest.param(["train", "--corpus", "corpus", "--batch-size", 0], "--batch-size",
+                 id="batch-size-0"),
+    pytest.param(["train", "--corpus", "corpus", "--train-frac", 1.5], "--train-frac",
+                 id="train-frac-1.5"),
+    pytest.param(["train", "--corpus", "corpus", "--train-frac", 0], "--train-frac",
+                 id="train-frac-0"),
+    pytest.param(["estimate", "--node-free", -1], "--node-free",
+                 id="node-free-negative"),
+    pytest.param(["simulate", "--scenario", "fleet.json", "--weights", "w.json",
+                  "--corpus", "corpus", "--limit", -3], "--limit", id="limit-negative"),
+])
+def test_flag_out_of_range_exits_2(argv, flag, tmp_path, capsys):
+    try:
+        code = run("--quiet", *argv, "--out", tmp_path / "out")
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_shipped_inputs_exit_0(small_corpus, tiny_weights, tmp_path):
+    files = _write_inputs(tmp_path, _shipped_inputs(tiny_weights))
+    assert run("--quiet", "partition", "--scenario", files["scenario"],
+               "--out", tmp_path / "p.json") == 0
+    assert run("--quiet", *_simulate_argv(files, small_corpus,
+                                          tmp_path / "r.json")) == 0
+
+
+def _json_paths(doc, prefix=()):
+    """Every key path into a JSON document, containers included."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def mutation_sites(tiny_weights):
+    docs = _shipped_inputs(tiny_weights)
+    return [(target, path) for target in ("scenario", "placement", "faults")
+            for path in _json_paths(docs[target])]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_mutated_inputs_fail_cleanly(data, mutation_sites, small_corpus,
+                                     tiny_weights):
+    target, path = data.draw(st.sampled_from(mutation_sites))
+    value = data.draw(st.sampled_from([_DROP, "x", -1, None, [], [1]]))
+    docs = _shipped_inputs(tiny_weights)
+    docs[target] = _set(path, value)(docs[target])
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        files = _write_inputs(root, docs)
+        out = root / "out"
+        out.mkdir()
+        commands = [_simulate_argv(files, small_corpus, out / "r.json")]
+        if target == "scenario":
+            commands.append(["partition", "--scenario", files["scenario"],
+                             "--out", out / "p.json"])
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run("--quiet", *argv)
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            if code != 0:
+                assert err.getvalue().startswith("error: ")
+                assert list(out.iterdir()) == []
+            for leftover in out.iterdir():
+                leftover.unlink()

@@ -12,7 +12,7 @@ from edgemal.errors import (
 )
 from edgemal.rng import SplitMix64
 
-from conftest import rand_tensor
+from conftest import rand_tensor, read_json
 
 
 # --- spec resolution and model construction ---
@@ -139,13 +139,12 @@ def test_composition_equals_forward(default_spec, tiny_spec):
 
 
 def test_golden_sample_prediction(default_spec):
-    import json
     from edgemal import features
     from edgemal.cli import data_path
 
-    model = cnn.load_weights(data_path("trained", "default_weights.json"),
-                             default_spec)
-    golden = json.loads(data_path("trained", "golden_sample.json").read_text())
+    model = cnn.weights_from_json(
+        read_json(data_path("trained", "default_weights.json")), default_spec)
+    golden = read_json(data_path("trained", "golden_sample.json"))
     img = features.GrayImage(golden["side"],
                              np.asarray(golden["pixels"], dtype=np.uint8),
                              golden["label"])
@@ -356,7 +355,8 @@ def pin_corpus():
 def test_forward_bits_pinned(default_spec, pin_corpus):
     from edgemal.cli import data_path
 
-    model = cnn.load_weights(data_path("trained", "default_weights.json"), default_spec)
+    model = cnn.weights_from_json(
+        read_json(data_path("trained", "default_weights.json")), default_spec)
     digest = hashlib.sha256()
     for x in pin_corpus[0]:
         digest.update(cnn.forward(model, x).array.tobytes())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from edgemal import features
-from edgemal.errors import EmptyInput, EmptyTraceSet, KOutOfRange, WrongSide
+from edgemal.errors import EmptyInput, EmptyTraceSet, KOutOfRange, ShapeMismatch, WrongSide
 from edgemal.rng import SplitMix64
 
 
@@ -283,3 +283,10 @@ def test_traces_csv_round_trip(tmp_path):
     assert back.event_names == bundle.traces.event_names
     assert np.array_equal(back.rows, bundle.traces.rows)
     assert np.array_equal(back.labels, bundle.traces.labels)
+
+
+def test_traces_csv_without_header_rejected(tmp_path):
+    path = tmp_path / "traces.csv"
+    path.write_text("")
+    with pytest.raises(ShapeMismatch):
+        features.read_traces_csv(path)

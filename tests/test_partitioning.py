@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,14 @@ def test_validate_reports_coverage_gap(default_spec):
     assert "CoverageGap" in kinds
 
 
+def test_validate_reports_unknown_parent(default_spec):
+    net = star_network(10 * MB, [10 * MB])
+    placement = partitioning.Placement([("p", (0, 11))], [], "ghost")
+    violations = partitioning.validate_placement(placement, net, default_spec)
+    assert [v.kind for v in violations] == ["UnknownNode"]
+    assert "ghost" in violations[0].message
+
+
 def test_validate_reports_memory_and_link_issues(default_spec):
     nodes = [
         partitioning.NodeProfile("p", 100, 1e6, 0.0, (0.0, 0.0)),
@@ -280,11 +290,10 @@ def test_validate_reports_unknown_node(default_spec):
 
 # --- JSON round trips ---
 
-def test_scenario_round_trip(tmp_path):
+def test_scenario_round_trip():
     net = star_network(3 * MB, [2 * MB, MB], workloads=[0.5, 0.25])
-    path = tmp_path / "net.json"
-    partitioning.save_scenario(net, path)
-    back = partitioning.load_scenario(path)
+    back = partitioning.scenario_from_json(
+        json.loads(json.dumps(partitioning.scenario_to_json(net))))
     assert back.parent_id == net.parent_id
     assert back.radius_r == net.radius_r
     assert back.max_nodes == net.max_nodes
@@ -292,12 +301,11 @@ def test_scenario_round_trip(tmp_path):
     assert back.links == net.links
 
 
-def test_placement_round_trip(tmp_path, default_spec):
+def test_placement_round_trip(default_spec):
     placement = partitioning.partition_layers(default_spec,
                                               [("n1", 5 * MB), ("n2", 5 * MB)])
-    path = tmp_path / "pl.json"
-    partitioning.save_placement(placement, path)
-    back = partitioning.load_placement(path)
+    back = partitioning.placement_from_json(
+        json.loads(json.dumps(partitioning.placement_to_json(placement))))
     assert back.assignments == placement.assignments
     assert back.cut_bytes == placement.cut_bytes
     assert back.parent_id == placement.parent_id

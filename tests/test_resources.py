@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -201,10 +202,9 @@ def test_unfitted_model_rejected(default_spec):
         resources.predict_offload(None, default_spec, 1000)
 
 
-def test_regressor_json_round_trip(fitted, tmp_path):
-    path = tmp_path / "reg.json"
-    resources.save_regressor(fitted, path)
-    back = resources.load_regressor(path)
+def test_regressor_json_round_trip(fitted):
+    back = resources.regressor_from_json(
+        json.loads(json.dumps(resources.regressor_to_json(fitted))))
     assert np.array_equal(back.beta, fitted.beta)
     assert back.feature_names == fitted.feature_names
     assert np.array_equal(back.mean, fitted.mean)
