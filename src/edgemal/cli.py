@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import partial
@@ -24,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import cnn, features, partitioning, resources, simulation
-from .errors import EdgemalError
+from .errors import EdgemalError, ShapeMismatch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,12 +70,16 @@ def _load(path, parse, *args, json_doc: bool = True):
 
     The CLI reads every input here. A file that cannot be read, and any
     KeyError, IndexError, TypeError, ValueError or AttributeError (a value of
-    the wrong JSON type) from decoding or parsing, is a configuration error;
-    domain errors pass through.
+    the wrong JSON type) from decoding or parsing, is a configuration error,
+    as is a ShapeMismatch from a library reader (a bad PGM header, a CSV
+    without its header row); other domain errors pass through.
     """
     try:
         if not json_doc:
-            return parse(path, *args)
+            try:
+                return parse(path, *args)
+            except ShapeMismatch as exc:
+                raise _ConfigError(f"malformed {path}: {exc}") from exc
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         return parse(doc, *args)
@@ -472,6 +477,20 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
+def _float_at_least(low: float, strict: bool = False):
+    """argparse type for a finite float flag that must be >= `low`, or
+    > `low` when `strict`."""
+    bound = f"{'>' if strict else '>='} {low}"
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {value}")
+        return value
+    parse.__name__ = "float"  # argparse reports "invalid float value: ..."
+    return parse
+
+
 def _fraction(text: str) -> float:
     """argparse type for --train-frac: a float in (0, 1]."""
     value = float(text)
@@ -506,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--per-class", type=_positive_int, default=200)
     p.add_argument("--events", type=int, default=16)
-    p.add_argument("--noise", type=float, default=4.0)
+    p.add_argument("--noise", type=_float_at_least(0.0), default=4.0)
     p.add_argument("--classes", type=_int_at_least(2), default=6)
     p.add_argument("--top-events", type=_positive_int, default=8)
     p.add_argument("--full-res", action="store_true",
@@ -522,10 +541,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[common], help="train the classifier on a corpus")
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--model", help="model spec JSON (default: shipped)")
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--learning-rate", type=float, default=0.1)
+    p.add_argument("--epochs", type=_positive_int, default=60)
+    p.add_argument("--learning-rate", type=_float_at_least(0.0, strict=True), default=0.1)
     p.add_argument("--batch-size", type=_positive_int, default=32)
-    p.add_argument("--clip-norm", type=float, default=0.5,
+    p.add_argument("--clip-norm", type=_float_at_least(0.0), default=0.5,
                    help="global gradient-norm bound (0 disables)")
     p.add_argument("--train-frac", type=_fraction, default=0.7)
     p.add_argument("--out", required=True, help="weights JSON")

@@ -11,7 +11,13 @@ Conventions fixed for reproducibility:
     layer boundary, so outputs are bit-stable on one machine and agree across
     implementations to ~1e-6;
   - weight initialization draws from a user-seeded SplitMix64 stream, element
-    by element in C order (weights first, then bias, layer by layer).
+    by element in C order (weights first, then bias, layer by layer);
+  - backpropagation runs in float64 and stops at the first trainable layer,
+    whose input gradient nothing reads;
+  - a conv input gradient is one col2im bincount: each input element sums its
+    contributions in ascending (di, dj) kernel order, starting from 0.0;
+  - a pool routes each output gradient to the first maximum of its window in
+    (di, dj) row-major order; the other elements of the window get 0.0.
 """
 
 from __future__ import annotations
@@ -434,75 +440,86 @@ def _backward(spec: ModelSpec, params: dict, x: np.ndarray, acts: list[np.ndarra
               label: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Gradients of the cross-entropy loss w.r.t. every weight and bias.
 
-    Float64 throughout; callers round to float32 for SGD updates. The Softmax
-    layer folds the loss derivative into probs - onehot, exact whenever the
-    log clamp is inactive.
+    Float64 throughout (`x`, `acts` and `params` are float64 arrays); callers
+    round to float32 for SGD updates. The Softmax layer folds the loss
+    derivative into probs - onehot, exact whenever the log clamp is inactive.
+    The pass stops at the first trainable layer, whose input gradient nothing
+    reads.
     """
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    first = min(params)
     d = None  # gradient w.r.t. the current layer's output
-    for i in range(len(spec.layers) - 1, -1, -1):
+    for i in range(len(spec.layers) - 1, first - 1, -1):
         layer = spec.layers[i]
         a_prev = acts[i - 1] if i > 0 else x
-        if layer.kind == KIND_SOFTMAX:
-            probs = acts[i].astype(np.float64)
-            dz = probs.copy()
-            dz[label] -= 1.0
-            w, _ = params[i]
-            grads[i] = (np.outer(a_prev.astype(np.float64), dz), dz)
-            d = w @ dz
-        elif layer.kind == KIND_DENSE:
-            out = acts[i].astype(np.float64)
-            dz = d if layer.activation != "relu" else d * (out > 0)
-            w, _ = params[i]
-            grads[i] = (np.outer(a_prev.astype(np.float64), dz), dz)
-            d = w @ dz
+        if layer.kind in (KIND_SOFTMAX, KIND_DENSE):
+            if layer.kind == KIND_SOFTMAX:
+                dz = acts[i].copy()
+                dz[label] -= 1.0
+            else:
+                dz = d if layer.activation != "relu" else d * (acts[i] > 0)
+            grads[i] = (np.outer(a_prev, dz), dz)
+            if i > first:
+                d = params[i][0] @ dz
         elif layer.kind == KIND_FLATTEN:
             d = d.reshape(a_prev.shape)
         elif layer.kind == KIND_POOL:
-            d = _pool_backward(layer, a_prev.astype(np.float64), d)
+            d = _pool_backward(layer, a_prev, acts[i], d)
         elif layer.kind == KIND_CONV:
-            out = acts[i].astype(np.float64)
-            dz = d if layer.activation != "relu" else d * (out > 0)
-            w, _ = params[i]
-            dw, db, d = _conv_backward(layer, a_prev.astype(np.float64), dz, w)
+            dz = d if layer.activation != "relu" else d * (acts[i] > 0)
+            dw, db, d = _conv_backward(layer, a_prev, dz, params[i][0],
+                                       input_grad=i > first)
             grads[i] = (dw, db)
-        else:  # Input
-            break
     return grads
 
 
-def _pool_backward(layer: LayerSpec, a_prev: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _pool_backward(layer: LayerSpec, a_prev: np.ndarray, out: np.ndarray,
+                   d: np.ndarray) -> np.ndarray:
+    """Route each output gradient to the first maximum of its window, in
+    (di, dj) row-major order, over the same strided slices as _apply_pool."""
     win = layer.pool_window
-    oh, ow, c = d.shape
-    trimmed = a_prev[: oh * win, : ow * win, :]
-    blocks = trimmed.reshape(oh, win, ow, win, c).transpose(0, 2, 4, 1, 3) \
-                    .reshape(oh, ow, c, win * win)
-    idx = blocks.argmax(axis=3)  # first maximum, deterministic
-    dblocks = np.zeros_like(blocks)
-    np.put_along_axis(dblocks, idx[..., None], d[..., None], axis=3)
+    oh, ow = d.shape[0], d.shape[1]
     da = np.zeros_like(a_prev)
-    da[: oh * win, : ow * win, :] = dblocks.reshape(oh, ow, c, win, win) \
-        .transpose(0, 3, 1, 4, 2).reshape(oh * win, ow * win, c)
+    free = np.ones(d.shape, dtype=bool)  # windows whose maximum is not yet found
+    for di in range(win):
+        for dj in range(win):
+            window = (slice(di, oh * win, win), slice(dj, ow * win, win))
+            hit = a_prev[window] == out
+            hit &= free
+            free ^= hit
+            np.copyto(da[window], d, where=hit)
     return da
 
 
+@functools.lru_cache(maxsize=64)
+def _col2im_index(h: int, w: int, c: int, kh: int, kw: int) -> np.ndarray:
+    """_im2col_index flattened in (kh*kw, oh*ow, c) order, so a bincount over
+    it adds every input element's contributions in ascending (di, dj) order.
+    Read-only, since every caller shares the cached array."""
+    idx = _im2col_index(h, w, c, kh, kw)
+    idx = idx.reshape(idx.shape[0], kh * kw, c).transpose(1, 0, 2).ravel()
+    idx.flags.writeable = False
+    return idx
+
+
 def _conv_backward(layer: LayerSpec, a_prev: np.ndarray, dz: np.ndarray,
-                   weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   weight: np.ndarray, input_grad: bool = True
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(dw, db, da) of one float64 conv; da is None unless `input_grad`."""
     kh, kw, f = layer.kernel_h, layer.kernel_w, layer.filters
-    cin = a_prev.shape[2]
+    h, w, cin = a_prev.shape
     oh, ow = dz.shape[0], dz.shape[1]
     cols = _conv_cols(a_prev, kh, kw)  # (oh*ow, kh*kw*cin)
     dz2 = dz.reshape(oh * ow, f)
     dw = (cols.T @ dz2).reshape(kh, kw, cin, f)
     db = dz2.sum(axis=0)
-    # scatter the column gradient back onto the input image
-    w2 = weight.reshape(kh * kw * cin, f)
-    dcols = (dz2 @ w2.T).reshape(oh, ow, kh, kw, cin)
-    da = np.zeros_like(a_prev)
-    for di in range(kh):
-        for dj in range(kw):
-            da[di:di + oh, dj:dj + ow, :] += dcols[:, :, di, dj, :]
-    return dw, db, da
+    if not input_grad:
+        return dw, db, None
+    # col2im: scatter the column gradient back onto the input image
+    dcols = (dz2 @ weight.reshape(kh * kw * cin, f).T).reshape(oh * ow, kh * kw, cin)
+    da = np.bincount(_col2im_index(h, w, cin, kh, kw),
+                     weights=dcols.transpose(1, 0, 2).ravel(), minlength=h * w * cin)
+    return dw, db, da.reshape(h, w, cin)
 
 
 def train_model(model: Model, images: list[Tensor], labels: list[int], *,

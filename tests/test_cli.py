@@ -3,6 +3,7 @@ import copy
 import hashlib
 import io
 import json
+import shutil
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -451,19 +452,31 @@ _REPORT_OK = {"parent_id": "p", "total_latency_max_sec": 1.0,
                  id="manifest-int-file"),
     pytest.param("manifest", _set(("samples",), _DROP), "train",
                  id="manifest-no-samples-train"),
+    pytest.param("image", lambda data: b"P6" + data[2:], "simulate",
+                 id="image-p6-header"),
+    pytest.param("traces", lambda data: b"", "rank-events", id="traces-empty"),
 ])
 def test_malformed_input_exits_2(target, mutate, command, small_corpus,
                                  tiny_weights, tmp_path, capsys):
     docs = _shipped_inputs(tiny_weights)
     docs["report"] = docs["regressor"] = {}
     docs["manifest"] = read_json(small_corpus / "manifest.json")
-    docs[target] = mutate(docs[target])
+    first_image = docs["manifest"]["samples"][0]["file"]
+    raw = {"image": (small_corpus / first_image).read_bytes(),
+           "traces": (small_corpus / "traces.csv").read_bytes()}
+    if target in raw:
+        raw[target] = mutate(raw[target])
+    else:
+        docs[target] = mutate(docs[target])
     files = _write_inputs(tmp_path, docs)
+    files["traces"] = tmp_path / "traces.csv"
+    files["traces"].write_bytes(raw["traces"])
     corpus = small_corpus
-    if target == "manifest":
+    if target in ("manifest", "image"):
         corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        files["manifest"].rename(corpus / "manifest.json")
+        shutil.copytree(small_corpus, corpus)
+        files["manifest"].replace(corpus / "manifest.json")
+        (corpus / first_image).write_bytes(raw["image"])
     out = tmp_path / "out.json"
     argv = {
         "simulate": _simulate_argv(files, corpus, out),
@@ -472,6 +485,7 @@ def test_malformed_input_exits_2(target, mutate, command, small_corpus,
         "estimate": ["estimate", "--regressor", files["regressor"],
                      "--node-free", 1000, "--out", out],
         "train": ["train", "--corpus", corpus, "--epochs", 1, "--out", out],
+        "rank-events": ["rank-events", "--traces", files["traces"], "--out", out],
     }[command]
     _assert_config_error(run("--quiet", *argv), capsys, out)
 
@@ -482,6 +496,8 @@ def test_malformed_input_exits_2(target, mutate, command, small_corpus,
     pytest.param(["gen-corpus", "--classes", 0], "--classes", id="classes-0"),
     pytest.param(["gen-corpus", "--events", 2], "--events", id="events-below-classes"),
     pytest.param(["gen-corpus", "--top-events", 0], "--top-events", id="top-events-0"),
+    pytest.param(["gen-corpus", "--noise", -1], "--noise", id="noise-negative"),
+    pytest.param(["gen-corpus", "--noise", "nan"], "--noise", id="noise-nan"),
     pytest.param(["rank-events", "--traces", "traces.csv", "--top", -1], "--top",
                  id="top-negative"),
     pytest.param(["train", "--corpus", "corpus", "--batch-size", 0], "--batch-size",
@@ -490,6 +506,16 @@ def test_malformed_input_exits_2(target, mutate, command, small_corpus,
                  id="train-frac-1.5"),
     pytest.param(["train", "--corpus", "corpus", "--train-frac", 0], "--train-frac",
                  id="train-frac-0"),
+    pytest.param(["train", "--corpus", "corpus", "--epochs", 0], "--epochs",
+                 id="epochs-0"),
+    pytest.param(["train", "--corpus", "corpus", "--epochs", -2], "--epochs",
+                 id="epochs-negative"),
+    pytest.param(["train", "--corpus", "corpus", "--learning-rate", 0],
+                 "--learning-rate", id="learning-rate-0"),
+    pytest.param(["train", "--corpus", "corpus", "--learning-rate", "inf"],
+                 "--learning-rate", id="learning-rate-inf"),
+    pytest.param(["train", "--corpus", "corpus", "--clip-norm", -0.5], "--clip-norm",
+                 id="clip-norm-negative"),
     pytest.param(["estimate", "--node-free", -1], "--node-free",
                  id="node-free-negative"),
     pytest.param(["simulate", "--scenario", "fleet.json", "--weights", "w.json",
@@ -505,6 +531,14 @@ def test_flag_out_of_range_exits_2(argv, flag, tmp_path, capsys):
     assert flag in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_flag_lower_bounds_accepted():
+    parser = cli.build_parser()
+    args = parser.parse_args(["train", "--corpus", "c", "--out", "w.json", "--epochs", "1",
+                              "--learning-rate", "1e-9", "--clip-norm", "0"])
+    assert (args.epochs, args.learning_rate, args.clip_norm) == (1, 1e-9, 0.0)
+    assert parser.parse_args(["gen-corpus", "--out", "c", "--noise", "0"]).noise == 0.0
 
 
 def test_shipped_inputs_exit_0(small_corpus, tiny_weights, tmp_path):

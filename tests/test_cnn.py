@@ -311,6 +311,99 @@ def test_im2col_index_cached_read_only():
     cols = cnn._conv_cols(a, 2, 3)
     cols[:] = 0.0  # the gather is a copy: the input stays untouched
     assert np.array_equal(a, _draws((5, 4, 3), 1, np.float64))
+    col2im = cnn._col2im_index(5, 4, 3, 2, 3)
+    assert col2im is cnn._col2im_index(5, 4, 3, 2, 3)
+    assert not col2im.flags.writeable
+
+
+# --- fast backward kernels against the reference col2im and pool backward ---
+#
+# The references are the earlier kernels: col2im as a loop of slice adds over
+# the kernel offsets, pool backward through a reshape, transpose, argmax and
+# put_along_axis. The fast kernels must match them bit for bit in float64,
+# the training precision.
+
+def _ref_conv_backward(layer, a_prev, dz, weight):
+    kh, kw, f = layer.kernel_h, layer.kernel_w, layer.filters
+    cin = a_prev.shape[2]
+    oh, ow = dz.shape[0], dz.shape[1]
+    cols = np.ascontiguousarray(_ref_conv_cols(a_prev, kh, kw))
+    dz2 = dz.reshape(oh * ow, f)
+    dw = (cols.T @ dz2).reshape(kh, kw, cin, f)
+    db = dz2.sum(axis=0)
+    dcols = (dz2 @ weight.reshape(kh * kw * cin, f).T).reshape(oh, ow, kh, kw, cin)
+    da = np.zeros_like(a_prev)
+    for di in range(kh):
+        for dj in range(kw):
+            da[di:di + oh, dj:dj + ow, :] += dcols[:, :, di, dj, :]
+    return dw, db, da
+
+
+def _ref_pool_backward(win, a_prev, d):
+    oh, ow, c = d.shape
+    trimmed = a_prev[: oh * win, : ow * win, :]
+    blocks = trimmed.reshape(oh, win, ow, win, c).transpose(0, 2, 4, 1, 3) \
+                    .reshape(oh, ow, c, win * win)
+    idx = blocks.argmax(axis=3)
+    dblocks = np.zeros_like(blocks)
+    np.put_along_axis(dblocks, idx[..., None], d[..., None], axis=3)
+    da = np.zeros_like(a_prev)
+    da[: oh * win, : ow * win, :] = dblocks.reshape(oh, ow, c, win, win) \
+        .transpose(0, 3, 1, 4, 2).reshape(oh * win, ow * win, c)
+    return da
+
+
+def _tie_inputs(shape, seed):
+    """Random, all-zero, ReLU'd random and 2x2-constant-block inputs: the last
+    three put equal maxima in most pool windows."""
+    h, w, c = shape
+    rand = _draws(shape, seed, np.float64)
+    blocks = _draws(((h + 1) // 2, (w + 1) // 2, c), seed + 500, np.float64)
+    blocks = blocks.repeat(2, axis=0).repeat(2, axis=1)[:h, :w]
+    return {"random": rand, "zeros": np.zeros(shape), "relu": np.maximum(rand, 0.0),
+            "blocks": np.ascontiguousarray(blocks)}
+
+
+@pytest.mark.parametrize("c", [1, 3, 8])
+def test_conv_backward_matches_reference_bits(c):
+    seed = 200
+    for h, w in _KERNEL_SIZES:
+        for kh in (1, 2, 3):
+            for kw in (1, 2, 3):
+                seed += 1
+                f = 1 + seed % 5
+                oh, ow = h - kh + 1, w - kw + 1
+                layer = cnn.LayerSpec("Conv", kernel_h=kh, kernel_w=kw, filters=f)
+                wt = _draws((kh, kw, c, f), seed + 1000, np.float64)
+                for name, a in _tie_inputs((h, w, c), seed).items():
+                    # a ReLU'd gradient carries exact zeros, as training's does
+                    dz = _draws((oh, ow, f), seed + 2000, np.float64)
+                    if name != "random":
+                        dz = np.maximum(dz, 0.0)
+                    want = _ref_conv_backward(layer, a, dz, wt)
+                    got = cnn._conv_backward(layer, a, dz, wt)
+                    for g, r in zip(got, want):
+                        _assert_same_bits(g, r)
+                    dw, db, da = cnn._conv_backward(layer, a, dz, wt, input_grad=False)
+                    assert da is None
+                    _assert_same_bits(dw, want[0])
+                    _assert_same_bits(db, want[1])
+
+
+@pytest.mark.parametrize("c", [1, 3, 8])
+def test_pool_backward_matches_reference_bits(c):
+    seed = 300
+    for h, w in _KERNEL_SIZES:
+        for win in (1, 2, 3):
+            seed += 1
+            layer = cnn.LayerSpec("Pool", pool_window=win)
+            for a in _tie_inputs((h, w, c), seed).values():
+                out = cnn._apply_pool(layer, a)
+                # -max(x, 0) carries negative zeros: a sign slip shows in the bits
+                for d in (_draws(out.shape, seed + 1000, np.float64),
+                          -np.maximum(_draws(out.shape, seed + 2000, np.float64), 0.0)):
+                    _assert_same_bits(cnn._pool_backward(layer, a, out, d),
+                                      _ref_pool_backward(win, a, d))
 
 
 # --- finiteness checks ---
@@ -500,6 +593,37 @@ def test_backward_check_conv_pool_dense(tiny_spec):
     err = cnn.backward_check(scaled_model(tiny_spec, 4),
                              rand_tensor((6, 6, 1), 1), 2)
     assert err <= 1e-4
+
+
+@pytest.mark.parametrize("layers, shape", [
+    pytest.param((cnn.LayerSpec("Input"),
+                  cnn.LayerSpec("Pool", pool_window=2),
+                  cnn.LayerSpec("Conv", kernel_w=2, kernel_h=2, filters=2,
+                                activation="relu"),
+                  cnn.LayerSpec("Flatten"),
+                  cnn.LayerSpec("Softmax", units=3)), (6, 6, 1), id="pool-first"),
+    pytest.param((cnn.LayerSpec("Input"),
+                  cnn.LayerSpec("Flatten"),
+                  cnn.LayerSpec("Dense", units=4),
+                  cnn.LayerSpec("Softmax", units=3)), (3, 2, 1), id="dense-first"),
+])
+def test_backward_check_before_first_trainable_layer(layers, shape):
+    spec = cnn.ModelSpec(shape, layers)
+    err = cnn.backward_check(scaled_model(spec, 5), rand_tensor(shape, 2), 1)
+    assert err <= 1e-4
+
+
+def test_backward_grads_every_trainable_layer(default_spec, tiny_spec):
+    for spec, seed in ((default_spec, 42), (tiny_spec, 4)):
+        model = cnn.build_model(spec, seed)
+        params = cnn._collect_params(model)
+        x = rand_tensor(spec.input_shape, seed).array.astype(np.float64)
+        acts = cnn._forward_acts(model.spec, params, x, np.float64)
+        grads = cnn._backward(model.spec, params, x, acts, 1)
+        assert sorted(grads) == sorted(model.weights)
+        for i, (gw, gb) in grads.items():
+            assert gw.shape == model.weights[i].weight.shape
+            assert gb.shape == model.weights[i].bias.shape
 
 
 def test_backward_check_degenerate_zero_model():
