@@ -124,19 +124,16 @@ def cmd_gen_corpus(args) -> int:
 
     samples = []
     for i in range(bundle.traces.rows.shape[0]):
-        values = bundle.traces.rows[i, columns]
-        label = int(bundle.traces.labels[i])
-        full = features.to_grayscale(values, bundle.blobs[i], label)
-        small = features.downsample(full)
+        full = features.sample_image(bundle, i, columns)
         rel = _pgm_name(i)
-        _atomic_write(out / rel, partial(features.write_pgm, small))
+        _atomic_write(out / rel, partial(features.write_pgm, features.downsample(full)))
         if args.full_res:
             _atomic_write(out / f"full_res/img_{i:06d}.pgm",
                           partial(features.write_pgm, full))
         samples.append({
             "file": rel,
-            "label": label,
-            "class_name": bundle.traces.class_names[label],
+            "label": full.label,
+            "class_name": bundle.traces.class_names[full.label],
         })
 
     _atomic_write(out / "traces.csv",
@@ -191,14 +188,16 @@ def cmd_rank_events(args) -> int:
 
 # --- training --------------------------------------------------------------------
 
-def _accuracy(model: cnn.Model, images, labels) -> float:
-    if not images:
-        return 0.0
-    hits = 0
-    for x, lab in zip(images, labels):
-        if int(np.argmax(cnn.forward(model, x).array)) == lab:
-            hits += 1
-    return hits / len(images)
+def _accuracy(model: cnn.Model, images, labels) -> float | None:
+    """`classification_metrics` accuracy of `model` on the samples; None
+    when there are none."""
+    predictions = [int(np.argmax(cnn.forward(model, x).array)) for x in images]
+    class_count = max([model.spec.layers[-1].units, *(lab + 1 for lab in labels)])
+    return classification_metrics(predictions, labels, class_count)["accuracy"]
+
+
+def _ratio_text(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.4f}"
 
 
 def cmd_train(args) -> int:
@@ -227,7 +226,8 @@ def cmd_train(args) -> int:
             "test_samples": len(test_idx),
             "classes": class_names,
         }))
-    _info(args, f"train accuracy {train_acc:.4f}  test accuracy {test_acc:.4f}")
+    _info(args, f"train accuracy {_ratio_text(train_acc)}  "
+                f"test accuracy {_ratio_text(test_acc)}")
     return EXIT_OK
 
 
@@ -258,9 +258,7 @@ def cmd_estimate(args) -> int:
         "node_free_bytes": args.node_free,
         "ground_truth_comparator": resources.ON_DEVICE if mem <= args.node_free
         else resources.OFFLOAD,
-        "n_batches": args.n_batches,
-        "batch_size": args.batch_size,
-        "kb_per_param": args.kb_per_param,
+        **_scale(args),
     }
     text = _dump_json(record)
     if args.out:
@@ -322,6 +320,8 @@ def _latency_of(doc) -> SimpleNamespace:
 
 
 def cmd_simulate(args) -> int:
+    if args.event_log and len(args.scenario) > 1:
+        raise _ConfigError("--event-log takes a single scenario")
     spec = _load_spec(args.model)
     model = _load(args.weights, cnn.weights_from_json, spec)
     _, images, labels, names = _load_corpus(Path(args.corpus), args.limit)
@@ -345,24 +345,21 @@ def cmd_simulate(args) -> int:
             report.speedup_vs_baseline = simulation.speedup(baseline, report)
         reports.append(report)
 
-    if len(reports) == 1:
-        report = reports[0]
-        _atomic_write_text(Path(args.out),
-                           _dump_json(simulation.report_to_json(report)))
+    # one scenario writes the report to --out; several write one report per
+    # scenario, in the order given, into the --out directory
+    out = Path(args.out)
+    many = len(reports) > 1
+    if many:
+        out.mkdir(parents=True, exist_ok=True)
+    for path, report in zip(scenario_paths, reports):
+        target = out / f"{path.stem}_report.json" if many else out
+        _atomic_write_text(target, _dump_json(simulation.report_to_json(report)))
         if args.event_log:
             _atomic_write(Path(args.event_log),
                           partial(simulation.write_event_log, report))
-        _info(args, f"latency {report.total_latency_max_sec:.6f} s, "
+        _info(args, f"{path.stem + ': ' if many else ''}latency "
+                    f"{report.total_latency_max_sec:.6f} s, "
                     f"faults handled {report.faults_handled}")
-        return EXIT_OK
-
-    # scenario list: one report per scenario, in the order given
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path, report in zip(scenario_paths, reports):
-        target = out_dir / (path.stem + "_report.json")
-        _atomic_write_text(target, _dump_json(simulation.report_to_json(report)))
-        _info(args, f"{path.stem}: latency {report.total_latency_max_sec:.6f} s")
     return EXIT_OK
 
 
@@ -370,7 +367,8 @@ def cmd_simulate(args) -> int:
 
 def classification_metrics(predictions: list[int], labels: list[int],
                            class_count: int) -> dict:
-    """Accuracy plus macro-averaged F1 and recall over all classes."""
+    """Accuracy plus macro-averaged F1 and recall over all classes; the
+    accuracy is None when there are no samples."""
     tp = [0] * class_count
     fp = [0] * class_count
     fn = [0] * class_count
@@ -393,7 +391,7 @@ def classification_metrics(predictions: list[int], labels: list[int],
         f1s.append(f1)
     n = len(labels)
     return {
-        "accuracy": hits / n if n else 0.0,
+        "accuracy": hits / n if n else None,
         "macro_f1": sum(f1s) / class_count,
         "macro_recall": sum(recalls) / class_count,
         "per_class_recall": recalls,
@@ -435,7 +433,7 @@ def _summarize_report(doc, manifest, baseline) -> tuple[dict, list[str]]:
         result["speedup_vs_baseline"] = doc["speedup_vs_baseline"]
 
     lines = [f"samples          {metrics['samples']}",
-             f"accuracy         {metrics['accuracy']:.4f}",
+             f"accuracy         {_ratio_text(metrics['accuracy'])}",
              f"macro F1         {metrics['macro_f1']:.4f}",
              f"macro recall     {metrics['macro_recall']:.4f}",
              f"latency (max)    {doc['total_latency_max_sec']:.6f} s",
@@ -518,6 +516,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help=argparse.SUPPRESS)
     common.add_argument("--quiet", action="store_true",
                         default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", help="model spec JSON (default: shipped)")
+    # the memory-model scale flags (`_scale`)
+    scale = argparse.ArgumentParser(add_help=False)
+    scale.add_argument("--n-batches", type=_positive_int, default=1)
+    scale.add_argument("--batch-size", type=_positive_int, default=1)
+    scale.add_argument("--kb-per-param", type=_positive_int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-corpus", parents=[common],
@@ -538,9 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=_int_at_least(0), default=0, help="print only the top K")
     p.set_defaults(func=cmd_rank_events)
 
-    p = sub.add_parser("train", parents=[common], help="train the classifier on a corpus")
+    p = sub.add_parser("train", parents=[common, model],
+                       help="train the classifier on a corpus")
     p.add_argument("--corpus", required=True, help="corpus directory")
-    p.add_argument("--model", help="model spec JSON (default: shipped)")
     p.add_argument("--epochs", type=_positive_int, default=60)
     p.add_argument("--learning-rate", type=_float_at_least(0.0, strict=True), default=0.1)
     p.add_argument("--batch-size", type=_positive_int, default=32)
@@ -551,48 +556,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", help="training history JSON")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("estimate", parents=[common], help="on-device vs offload decision")
-    p.add_argument("--model", help="model spec JSON (default: shipped)")
+    p = sub.add_parser("estimate", parents=[common, model, scale],
+                       help="on-device vs offload decision")
     p.add_argument("--node-free", type=_int_at_least(0), required=True,
                    help="free bytes on the node")
-    p.add_argument("--n-batches", type=_positive_int, default=1)
-    p.add_argument("--batch-size", type=_positive_int, default=1)
-    p.add_argument("--kb-per-param", type=_positive_int, default=1)
     p.add_argument("--regressor", help="load a fitted regressor JSON")
     p.add_argument("--save-regressor", help="save the fitted regressor JSON")
     p.add_argument("--out", help="write the decision record JSON")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("partition", parents=[common], help="select nodes and split the layers")
+    p = sub.add_parser("partition", parents=[common, model, scale],
+                       help="select nodes and split the layers")
     p.add_argument("--scenario", required=True, help="fleet scenario JSON")
-    p.add_argument("--model", help="model spec JSON (default: shipped)")
     p.add_argument("--nodes", type=_node_count,
                    help="'parent-only' or a node count to force")
-    p.add_argument("--n-batches", type=_positive_int, default=1)
-    p.add_argument("--batch-size", type=_positive_int, default=1)
-    p.add_argument("--kb-per-param", type=_positive_int, default=1)
     p.add_argument("--out", required=True, help="placement JSON")
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("simulate", parents=[common], help="run placed inference on the fleet")
+    p = sub.add_parser("simulate", parents=[common, model, scale],
+                       help="run placed inference on the fleet")
     p.add_argument("--scenario", required=True, nargs="+",
                    help="fleet scenario JSON (several run in sequence)")
-    p.add_argument("--model", help="model spec JSON (default: shipped)")
     p.add_argument("--weights", required=True, help="weights JSON")
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--placement", help="placement JSON (default: auto-partition)")
     p.add_argument("--nodes", type=_node_count,
                    help="'parent-only' or a node count to force")
-    p.add_argument("--n-batches", type=_positive_int, default=1)
-    p.add_argument("--batch-size", type=_positive_int, default=1)
-    p.add_argument("--kb-per-param", type=_positive_int, default=1)
     p.add_argument("--limit", type=_int_at_least(0), default=0,
                    help="use only the first N corpus samples")
     p.add_argument("--faults", help="fault schedule JSON")
     p.add_argument("--baseline", help="baseline report JSON for speedup")
     p.add_argument("--out", required=True,
                    help="report JSON (directory when several scenarios)")
-    p.add_argument("--event-log", help="CSV event log path")
+    p.add_argument("--event-log", help="CSV event log path (single scenario only)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", parents=[common], help="metrics and tables from a run report")

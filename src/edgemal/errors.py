@@ -81,7 +81,3 @@ class InvalidFault(EdgemalError):
 
 class UnroutableTransfer(EdgemalError):
     """An activation transfer has no link between the executing nodes."""
-
-
-class AllReplicasOffline(EdgemalError):
-    """Gradient aggregation found no online replica."""

@@ -271,15 +271,18 @@ def _class_blob(texture: np.ndarray, jitter: np.ndarray) -> bytes:
     return blocks.repeat(8, axis=0).repeat(8, axis=1).tobytes()
 
 
+def sample_image(bundle: CorpusBundle, i: int, selected_events: list[int]) -> GrayImage:
+    """256x256 labeled image of corpus sample i, using the given event column
+    order for the trace pixels."""
+    return to_grayscale(bundle.traces.rows[i, selected_events], bundle.blobs[i],
+                        int(bundle.traces.labels[i]))
+
+
 def corpus_images(bundle: CorpusBundle, selected_events: list[int]) -> list[GrayImage]:
     """32x32 labeled images for every corpus sample, using the given event
     column order for the trace pixels."""
-    images = []
-    for i in range(bundle.traces.rows.shape[0]):
-        values = bundle.traces.rows[i, selected_events]
-        img = to_grayscale(values, bundle.blobs[i], int(bundle.traces.labels[i]))
-        images.append(downsample(img))
-    return images
+    return [downsample(sample_image(bundle, i, selected_events))
+            for i in range(bundle.traces.rows.shape[0])]
 
 
 def split_corpus(labels, train_frac: float, seed: int) -> tuple[list[int], list[int]]:
@@ -354,7 +357,3 @@ def read_traces_csv(path, class_names: list[str] | None = None) -> TraceSet:
 
 def ranked_to_json(ranked: list[EventRank]) -> list[dict]:
     return [{"name": r.name, "rho": r.rho, "rank": r.rank} for r in ranked]
-
-
-def ranked_from_json(doc: list[dict]) -> list[EventRank]:
-    return [EventRank(d["name"], float(d["rho"]), int(d["rank"])) for d in doc]

@@ -23,11 +23,9 @@ import numpy as np
 from . import cnn, resources
 from .cnn import Tensor
 from .errors import (
-    AllReplicasOffline,
     InsufficientResources,
     InvalidFault,
     InvalidPlacement,
-    ShapeMismatch,
     UnroutableTransfer,
 )
 from .partitioning import (
@@ -37,9 +35,6 @@ from .partitioning import (
     single_node_placement,
     validate_placement,
 )
-
-GRADIENT_AGGREGATION = "mean"
-
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -80,7 +75,6 @@ class SimReport:
     speedup_vs_baseline: float | None = None
     warnings: list[str] = field(default_factory=list)
     events: list[SimEvent] = field(default_factory=list)
-    aggregation: str = GRADIENT_AGGREGATION
     input_labels: list[int] | None = None
     input_files: list[str] | None = None
 
@@ -267,25 +261,6 @@ def simulate_inference(scenario: NetworkScenario, placement: Placement,
     )
 
 
-def aggregate_gradients(replica_gradients, online_mask) -> np.ndarray:
-    """Elementwise mean over online replicas; the result does not depend on
-    how many replicas participate."""
-    vectors = [np.asarray(v, dtype=np.float64) for v in replica_gradients]
-    if not vectors:
-        raise AllReplicasOffline("no replicas given")
-    length = vectors[0].shape
-    for v in vectors:
-        if v.shape != length:
-            raise ShapeMismatch("replica gradients differ in length")
-    mask = list(online_mask)
-    if len(mask) != len(vectors):
-        raise ShapeMismatch("online mask length must match replica count")
-    online = [v for v, ok in zip(vectors, mask) if ok]
-    if not online:
-        raise AllReplicasOffline("every replica is offline")
-    return np.mean(online, axis=0)
-
-
 def speedup(baseline: SimReport, parallel: SimReport) -> float:
     """baseline latency / parallel latency, guarded against zero."""
     if parallel.total_latency_max_sec == 0.0:
@@ -317,7 +292,6 @@ def report_to_json(report: SimReport) -> dict:
         "total_latency_max_sec": report.total_latency_max_sec,
         "total_latency_pipeline_sec": report.total_latency_pipeline_sec,
         "faults_handled": report.faults_handled,
-        "aggregation": report.aggregation,
         "warnings": list(report.warnings),
         "per_node": {
             nid: {

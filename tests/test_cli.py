@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgemal import cli, resources, simulation
+from edgemal import cli, features, resources, simulation
 
 from conftest import read_json
 
@@ -65,6 +65,27 @@ def test_gen_corpus_deterministic(tmp_path):
     assert tree_digest(a) == tree_digest(b)
 
 
+def _pgm_bytes(img, tmp_path) -> bytes:
+    path = tmp_path / "expected.pgm"
+    features.write_pgm(img, path)
+    return path.read_bytes()
+
+
+def test_gen_corpus_full_res_matches_library(tmp_path):
+    out = tmp_path / "corpus"
+    assert run("--seed", 3, "--quiet", "gen-corpus", "--out", out,
+               "--per-class", 2, "--full-res") == 0
+    bundle = features.gen_synthetic_corpus(samples_per_class=2, seed=3)
+    selected = json.loads((out / "manifest.json").read_text())["selected_events"]
+    columns = [bundle.traces.event_names.index(name) for name in selected]
+    small = features.corpus_images(bundle, columns)
+    assert len(list((out / "full_res").glob("*.pgm"))) == len(small) == 12
+    for i, img in enumerate(small):
+        assert ((out / f"full_res/img_{i:06d}.pgm").read_bytes()
+                == _pgm_bytes(features.sample_image(bundle, i, columns), tmp_path))
+        assert (out / f"images/img_{i:06d}.pgm").read_bytes() == _pgm_bytes(img, tmp_path)
+
+
 def test_gen_corpus_missing_out_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run("gen-corpus", "--per-class", 2)
@@ -90,6 +111,18 @@ def test_train_writes_history(small_corpus, tmp_path):
     assert len(doc["epoch_loss"]) == 1
     assert 0.0 <= doc["test_accuracy"] <= 1.0
     assert json.loads(weights.read_text())["layers"]
+
+
+def test_train_without_test_samples_reports_null(small_corpus, tmp_path, capsys):
+    history = tmp_path / "h.json"
+    assert run("--seed", 1, "train", "--corpus", small_corpus, "--epochs", 1,
+               "--batch-size", 4, "--train-frac", 1.0, "--out", tmp_path / "w.json",
+               "--history", history) == 0
+    doc = json.loads(history.read_text())
+    assert doc["test_samples"] == 0
+    assert doc["test_accuracy"] is None
+    assert 0.0 <= doc["train_accuracy"] <= 1.0
+    assert "test accuracy n/a" in capsys.readouterr().out
 
 
 def test_estimate_verdict_fields(tmp_path, capsys):
@@ -163,6 +196,20 @@ def test_report_metrics_perfect_predictions(tmp_path):
     assert metrics["macro_recall"] == 1.0
 
 
+def test_report_without_samples_reports_null(tmp_path, capsys):
+    doc = {"parent_id": "p", "total_latency_max_sec": 1.0,
+           "total_latency_pipeline_sec": 1.0, "per_node": {}, "outputs": [],
+           "predictions": [], "input_labels": []}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "metrics.json"
+    assert run("report", "--report", path, "--out", out) == 0
+    metrics = json.loads(out.read_text())["metrics"]
+    assert metrics["samples"] == 0
+    assert metrics["accuracy"] is None
+    assert "accuracy         n/a" in capsys.readouterr().out
+
+
 def test_simulate_fan_out_multiple_scenarios(small_corpus, tiny_weights,
                                              tmp_path):
     demo = cli.data_path("scenarios", "demo_fleet.json")
@@ -180,6 +227,18 @@ def test_simulate_fan_out_multiple_scenarios(small_corpus, tiny_weights,
                    "--nodes", "3", "--limit", 2, "--out", single) == 0
         assert ((out_dir / f"{scenario.stem}_report.json").read_bytes()
                 == single.read_bytes())
+
+
+def test_simulate_event_log_with_several_scenarios_exits_2(small_corpus, tiny_weights,
+                                                           tmp_path, capsys):
+    demo = cli.data_path("scenarios", "demo_fleet.json")
+    reference = cli.data_path("scenarios", "reference_fleet.json")
+    assert run("--quiet", "simulate", "--scenario", demo, reference,
+               "--weights", tiny_weights, "--corpus", small_corpus,
+               "--nodes", "3", "--limit", 2, "--out", tmp_path / "reports",
+               "--event-log", tmp_path / "events.csv") == 2
+    assert capsys.readouterr().err.startswith("error: --event-log")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_baseline_speedup_is_simulation_speedup(small_corpus, tiny_weights,

@@ -3,11 +3,9 @@ import pytest
 
 from edgemal import cnn, partitioning, resources, simulation
 from edgemal.errors import (
-    AllReplicasOffline,
     InsufficientResources,
     InvalidFault,
     InvalidPlacement,
-    ShapeMismatch,
     UnroutableTransfer,
 )
 from edgemal.rng import SplitMix64
@@ -333,35 +331,6 @@ def test_invalid_placement_rejected(tiny_spec):
         simulation.simulate_inference(net, bad, model, [])
 
 
-# --- gradient aggregation ---
-
-def test_aggregate_mean_all_online():
-    out = simulation.aggregate_gradients([[1.0, 2.0], [3.0, 4.0]], [True, True])
-    assert out.tolist() == [2.0, 3.0]
-
-
-def test_aggregate_skips_offline():
-    out = simulation.aggregate_gradients([[1.0, 2.0], [9.0, 9.0]], [True, False])
-    assert out.tolist() == [1.0, 2.0]
-
-
-def test_aggregate_matches_brute_force():
-    rng = SplitMix64(12)
-    for _ in range(20):
-        replicas = [[rng.uniform(-5, 5) for _ in range(8)] for _ in range(3)]
-        mask = [True, True, False]
-        out = simulation.aggregate_gradients(replicas, mask)
-        manual = [(a + b) / 2.0 for a, b in zip(replicas[0], replicas[1])]
-        assert np.allclose(out, manual, atol=1e-12)
-
-
-def test_aggregate_errors():
-    with pytest.raises(AllReplicasOffline):
-        simulation.aggregate_gradients([[1.0], [2.0]], [False, False])
-    with pytest.raises(ShapeMismatch):
-        simulation.aggregate_gradients([[1.0], [2.0, 3.0]], [True, True])
-
-
 # --- speedup and resource report ---
 
 def test_speedup_identity_and_guard(tiny_spec):
@@ -435,7 +404,7 @@ def test_report_json_and_event_log(tmp_path, tiny_spec):
     xs = [rand_tensor((6, 6, 1), i) for i in range(2)]
     report = simulation.simulate_inference(net, placement, model, xs)
     doc = simulation.report_to_json(report)
-    assert doc["aggregation"] == "mean"
+    assert "aggregation" not in doc
     assert len(doc["outputs"]) == 2
     assert doc["predictions"] == [int(np.argmax(o)) for o in report.outputs]
     log = tmp_path / "events.csv"
