@@ -333,17 +333,22 @@ def cmd_simulate(args) -> int:
     faults = _load(args.faults, _faults_from_json) if args.faults else []
     baseline = _load(args.baseline, _latency_of) if args.baseline else None
 
+    # schedule every scenario before running any layer, so a bad scenario
+    # fails first; the outputs do not depend on the scenario, so one run of
+    # the stages serves every report
     scale = _scale(args)
     reports = []
     for scenario in scenarios:
         placed = placement or _build_placement(scenario, spec, args.nodes, scale)
-        report = simulation.simulate_inference(scenario, placed, model, images,
-                                               faults, **scale)
+        reports.append(simulation.schedule(scenario, placed, model.spec,
+                                           len(images), faults, **scale))
+    outputs = simulation.run_stages(model, placed, images)
+    for report in reports:
+        report.outputs = outputs
         report.input_labels = labels
         report.input_files = names
         if baseline is not None:
             report.speedup_vs_baseline = simulation.speedup(baseline, report)
-        reports.append(report)
 
     # one scenario writes the report to --out; several write one report per
     # scenario, in the order given, into the --out directory
@@ -367,8 +372,8 @@ def cmd_simulate(args) -> int:
 
 def classification_metrics(predictions: list[int], labels: list[int],
                            class_count: int) -> dict:
-    """Accuracy plus macro-averaged F1 and recall over all classes; the
-    accuracy is None when there are no samples."""
+    """Accuracy plus macro-averaged F1 and recall over all classes; with no
+    samples every ratio, per-class ones included, is None."""
     tp = [0] * class_count
     fp = [0] * class_count
     fn = [0] * class_count
@@ -390,10 +395,13 @@ def classification_metrics(predictions: list[int], labels: list[int],
         recalls.append(recall)
         f1s.append(f1)
     n = len(labels)
+    if not n:
+        recalls = [None] * class_count
+        f1s = [None] * class_count
     return {
         "accuracy": hits / n if n else None,
-        "macro_f1": sum(f1s) / class_count,
-        "macro_recall": sum(recalls) / class_count,
+        "macro_f1": sum(f1s) / class_count if n else None,
+        "macro_recall": sum(recalls) / class_count if n else None,
         "per_class_recall": recalls,
         "per_class_f1": f1s,
         "samples": n,
@@ -427,6 +435,8 @@ def _summarize_report(doc, manifest, baseline) -> tuple[dict, list[str]]:
         "total_latency_pipeline_sec": doc["total_latency_pipeline_sec"],
         "faults_handled": doc.get("faults_handled", 0),
     }
+    if "makespan_sec" in doc:
+        result["makespan_sec"] = doc["makespan_sec"]
     if baseline is not None:
         result["speedup_vs_baseline"] = simulation.speedup(baseline, _latency_of(doc))
     elif "speedup_vs_baseline" in doc:
@@ -434,10 +444,12 @@ def _summarize_report(doc, manifest, baseline) -> tuple[dict, list[str]]:
 
     lines = [f"samples          {metrics['samples']}",
              f"accuracy         {_ratio_text(metrics['accuracy'])}",
-             f"macro F1         {metrics['macro_f1']:.4f}",
-             f"macro recall     {metrics['macro_recall']:.4f}",
+             f"macro F1         {_ratio_text(metrics['macro_f1'])}",
+             f"macro recall     {_ratio_text(metrics['macro_recall'])}",
              f"latency (max)    {doc['total_latency_max_sec']:.6f} s",
              f"latency (1-shot) {doc['total_latency_pipeline_sec']:.6f} s"]
+    if "makespan_sec" in result:
+        lines.append(f"makespan         {result['makespan_sec']:.6f} s")
     if "speedup_vs_baseline" in result:
         lines.append(f"speedup          {result['speedup_vs_baseline']:.4f}x")
     lines.append("node               bytes        busy_sec    layers")

@@ -1,10 +1,16 @@
 """Logical-time simulation of distributed inference over an IoT fleet.
 
-Each placement stage runs the real layer kernels, so distributed outputs are
-bit-identical to a single-node forward pass by construction; the simulator
-adds the timing model on top: per-stage compute cost from the flop counter,
-transfer cost from link latency plus payload over bandwidth, and pipelined
-input streaming (a stage starts the next input as soon as it is free).
+The simulation has two halves. `schedule` is the cost model: it validates
+the placement and the fault schedule, picks each stage's executor, and times
+compute and transfers (per-stage compute cost from the flop counter, transfer
+cost from link latency plus payload over bandwidth, pipelined input
+streaming: a stage starts the next input as soon as it is free). It reads no
+weights and runs no layer. `run_stages` is the execution: it runs each
+stage's layer range through the real layer kernels, so distributed outputs
+are bit-identical to a single-node forward pass by construction. Outputs
+depend on neither the placement nor the faults, so one execution serves
+every schedule of the same inputs; `simulate_inference` composes the two for
+one scenario.
 
 Fault model: when a child node is offline at the moment it would start a
 stage, the parent executes that stage from its full parameter replica. The
@@ -66,11 +72,16 @@ class SimEvent:
 
 @dataclass
 class SimReport:
+    """One simulated run. `total_latency_max_sec` is the busiest node's busy
+    plus transfer time, a throughput bound; `total_latency_pipeline_sec` is
+    one input's critical path; `makespan_sec` is when the last compute ends."""
+
     per_node: dict[str, NodeUsage]
     total_latency_max_sec: float
     total_latency_pipeline_sec: float
-    outputs: list[np.ndarray]
+    makespan_sec: float
     parent_id: str
+    outputs: list[np.ndarray] = field(default_factory=list)
     faults_handled: int = 0
     speedup_vs_baseline: float | None = None
     warnings: list[str] = field(default_factory=list)
@@ -113,13 +124,46 @@ def simulate_inference(scenario: NetworkScenario, placement: Placement,
                        model: cnn.Model, inputs: list[Tensor],
                        faults: list[FaultEvent] = (), *, n_batches: int = 1,
                        batch_size: int = 1, kb_per_param: int = 1) -> SimReport:
-    """Run placed inference with pipelined inputs and fault takeover.
+    """Run placed inference with pipelined inputs and fault takeover: the
+    `schedule` of `inputs` with the outputs of `run_stages`.
 
     Outputs are exact regardless of faults: a failed stage runs on the parent
     from its replica, with the stage's compute charged to the parent at the
     parent's effective speed.
     """
-    violations = validate_placement(placement, scenario, model.spec,
+    report = schedule(scenario, placement, model.spec, len(inputs), faults,
+                      n_batches=n_batches, batch_size=batch_size,
+                      kb_per_param=kb_per_param)
+    report.outputs = run_stages(model, placement, inputs)
+    return report
+
+
+def run_stages(model: cnn.Model, placement: Placement,
+               inputs: list[Tensor]) -> list[np.ndarray]:
+    """Each input's output after every stage of `placement` has run its layer
+    range through `cnn.layer_forward`; bit-identical to `cnn.forward`."""
+    layers = model.spec.layers
+    outputs = []
+    for act in inputs:
+        for _, (lo, hi) in placement.assignments:
+            for i in range(lo, hi):
+                act = cnn.layer_forward(layers[i], model.weights.get(i), act)
+        outputs.append(act.array)
+    return outputs
+
+
+def schedule(scenario: NetworkScenario, placement: Placement, spec: cnn.ModelSpec,
+             n_inputs: int, faults: list[FaultEvent] = (), *, n_batches: int = 1,
+             batch_size: int = 1, kb_per_param: int = 1) -> SimReport:
+    """The timing of `n_inputs` pipelined inputs through `placement`, with
+    fault takeover: per-node usage, events, latencies and warnings, and no
+    outputs. Reads no weights and runs no layer.
+
+    A failed stage runs on the parent, with its compute charged at the
+    parent's effective speed. An invalid placement raises InvalidPlacement,
+    a fault on an unknown node, on the parent or before time 0 InvalidFault.
+    """
+    violations = validate_placement(placement, scenario, spec,
                                     n_batches=n_batches, batch_size=batch_size,
                                     kb_per_param=kb_per_param)
     if violations:
@@ -138,7 +182,7 @@ def simulate_inference(scenario: NetworkScenario, placement: Placement,
         fault_time[fault.node_id] = (fault.time_sec if prev is None
                                      else min(prev, fault.time_sec))
 
-    rspec = model.spec
+    rspec = cnn.resolve_spec(spec)
     stages = placement.assignments
     cuts = cut_bytes(rspec, placement)
     per_layer_bytes = resources.layer_bytes(rspec, n_batches=n_batches,
@@ -158,7 +202,6 @@ def simulate_inference(scenario: NetworkScenario, placement: Placement,
     usage.setdefault(parent_id, NodeUsage())
     events: list[SimEvent] = []
     warnings: list[str] = []
-    outputs: list[np.ndarray] = []
     avail: dict[str, float] = {}
     redirected: set[str] = set()
     fallback_bytes = 0
@@ -176,8 +219,7 @@ def simulate_inference(scenario: NetworkScenario, placement: Placement,
     parent_range_bytes = sum(b for (node_id, _), b in zip(stages, range_bytes)
                              if node_id == parent_id)
 
-    for x in inputs:
-        act = x
+    for _ in range(n_inputs):
         prev_executor = None
         prev_done = 0.0
         for j, (node_id, (lo, hi)) in enumerate(stages):
@@ -223,8 +265,6 @@ def simulate_inference(scenario: NetworkScenario, placement: Placement,
             start = max(avail.get(executor, 0.0), ready)
 
             events.append(SimEvent(start, executor, "compute_start"))
-            for i in range(lo, hi):
-                act = cnn.layer_forward(rspec.layers[i], model.weights.get(i), act)
             done = start + cost
             avail[executor] = done
             usage[executor].busy_sec += cost
@@ -232,7 +272,6 @@ def simulate_inference(scenario: NetworkScenario, placement: Placement,
             events.append(SimEvent(done, executor, "compute_end"))
             prev_executor = executor
             prev_done = done
-        outputs.append(act.array)
 
     # memory accounting: the parent stores replicas of every partition plus
     # the activation buffers for each boundary; children store their own range
@@ -253,7 +292,7 @@ def simulate_inference(scenario: NetworkScenario, placement: Placement,
         per_node=usage,
         total_latency_max_sec=total_max,
         total_latency_pipeline_sec=pipeline,
-        outputs=outputs,
+        makespan_sec=max(avail.values(), default=0.0),
         parent_id=parent_id,
         faults_handled=len(redirected),
         warnings=warnings,
@@ -291,6 +330,7 @@ def report_to_json(report: SimReport) -> dict:
         "parent_id": report.parent_id,
         "total_latency_max_sec": report.total_latency_max_sec,
         "total_latency_pipeline_sec": report.total_latency_pipeline_sec,
+        "makespan_sec": report.makespan_sec,
         "faults_handled": report.faults_handled,
         "warnings": list(report.warnings),
         "per_node": {

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgemal import cli, features, resources, simulation
+from edgemal import cli, cnn, features, resources, simulation
 
-from conftest import read_json
+from conftest import count_layer_forward, read_json
 
 
 def run(*argv) -> int:
@@ -207,7 +207,14 @@ def test_report_without_samples_reports_null(tmp_path, capsys):
     metrics = json.loads(out.read_text())["metrics"]
     assert metrics["samples"] == 0
     assert metrics["accuracy"] is None
-    assert "accuracy         n/a" in capsys.readouterr().out
+    assert metrics["macro_f1"] is None
+    assert metrics["macro_recall"] is None
+    assert metrics["per_class_recall"] == [None]
+    assert metrics["per_class_f1"] == [None]
+    printed = capsys.readouterr().out
+    assert "accuracy         n/a" in printed
+    assert "macro F1         n/a" in printed
+    assert "macro recall     n/a" in printed
 
 
 def test_simulate_fan_out_multiple_scenarios(small_corpus, tiny_weights,
@@ -227,6 +234,56 @@ def test_simulate_fan_out_multiple_scenarios(small_corpus, tiny_weights,
                    "--nodes", "3", "--limit", 2, "--out", single) == 0
         assert ((out_dir / f"{scenario.stem}_report.json").read_bytes()
                 == single.read_bytes())
+
+
+def test_simulate_runs_the_stages_once(small_corpus, tiny_weights, tmp_path,
+                                       monkeypatch):
+    demo = cli.data_path("scenarios", "demo_fleet.json")
+    reference = cli.data_path("scenarios", "reference_fleet.json")
+    layers = len(cnn.load_spec(cli.data_path("default_model.json")).layers)
+    common = ["--weights", tiny_weights, "--corpus", small_corpus,
+              "--nodes", "3", "--limit", 2]
+    calls = count_layer_forward(monkeypatch)
+    assert run("--quiet", "simulate", "--scenario", demo, reference, *common,
+               "--out", tmp_path / "reports") == 0
+    assert len(calls) == 2 * layers
+    calls.clear()
+    assert run("--quiet", "simulate", "--scenario", demo, *common,
+               "--out", tmp_path / "single.json") == 0
+    assert len(calls) == 2 * layers
+
+
+def test_simulate_bad_second_scenario_runs_nothing(small_corpus, tiny_weights,
+                                                   tmp_path, monkeypatch, capsys):
+    # c5 is a child of the demo fleet; the reference fleet has no c5
+    demo = cli.data_path("scenarios", "demo_fleet.json")
+    reference = cli.data_path("scenarios", "reference_fleet.json")
+    faults = tmp_path / "faults.json"
+    faults.write_text(json.dumps([{"node_id": "c5", "time_sec": 1.0}]))
+    calls = count_layer_forward(monkeypatch)
+    assert run("--quiet", "simulate", "--scenario", demo, reference,
+               "--weights", tiny_weights, "--corpus", small_corpus,
+               "--nodes", "3", "--limit", 2, "--faults", faults,
+               "--out", tmp_path / "reports") == 3
+    assert "unknown node 'c5'" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [faults]
+
+
+def test_report_prints_makespan(small_corpus, tiny_weights, tmp_path, capsys):
+    reference = cli.data_path("scenarios", "reference_fleet.json")
+    placement = cli.data_path("scenarios", "reference_fleet_nodes4.json")
+    report = tmp_path / "r.json"
+    metrics = tmp_path / "m.json"
+    assert run("--quiet", "simulate", "--scenario", reference,
+               "--weights", tiny_weights, "--corpus", small_corpus,
+               "--placement", placement, "--limit", 1, "--out", report) == 0
+    assert run("report", "--report", report, "--out", metrics) == 0
+    printed = capsys.readouterr().out
+    assert "latency (max)    10.011152 s" in printed
+    assert "makespan         27.675160 s" in printed
+    doc = json.loads(report.read_text())
+    assert json.loads(metrics.read_text())["makespan_sec"] == doc["makespan_sec"]
 
 
 def test_simulate_event_log_with_several_scenarios_exits_2(small_corpus, tiny_weights,

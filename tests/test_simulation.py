@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edgemal import cnn, partitioning, resources, simulation
+from edgemal.cli import data_path
 from edgemal.errors import (
     InsufficientResources,
     InvalidFault,
@@ -10,7 +11,7 @@ from edgemal.errors import (
 )
 from edgemal.rng import SplitMix64
 
-from conftest import rand_tensor
+from conftest import count_layer_forward, rand_tensor, read_json
 
 MB = 1024 * 1024
 
@@ -392,6 +393,84 @@ def test_equal_children_consume_equal_bytes():
     per = resources.layer_bytes(spec)
     assert c1 == per[3]
     assert report.per_node["c2"].bytes_consumed == per[4] + per[5]
+
+
+# --- schedule and stage execution ---
+
+def _takeover_case(tiny_spec):
+    model = cnn.build_model(tiny_spec, 5)
+    net = fleet([("p", 10 * MB, 1e3, 0.0, (0, 0)), ("c", 10 * MB, 1e3, 0.0, (1, 0))],
+                [("p", "c", 0.001, 1e7)])
+    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], [], "p")
+    xs = [rand_tensor((6, 6, 1), i) for i in range(6)]
+    clean = simulation.simulate_inference(net, placement, model, xs)
+    faults = [simulation.FaultEvent("c", clean.total_latency_max_sec / 3.0)]
+    return net, placement, model, xs, faults
+
+
+def _reference_case(default_spec):
+    model = cnn.weights_from_json(
+        read_json(data_path("trained", "default_weights.json")), default_spec)
+    net = partitioning.scenario_from_json(
+        read_json(data_path("scenarios", "reference_fleet.json")))
+    placement = partitioning.placement_from_json(
+        read_json(data_path("scenarios", "reference_fleet_nodes4.json")))
+    xs = [rand_tensor(default_spec.input_shape, i) for i in range(3)]
+    return net, placement, model, xs, []
+
+
+@pytest.mark.parametrize("case, spec_fixture", [(_takeover_case, "tiny_spec"),
+                                                (_reference_case, "default_spec")])
+def test_schedule_matches_simulate_inference(case, spec_fixture, request,
+                                             monkeypatch):
+    spec = request.getfixturevalue(spec_fixture)
+    net, placement, model, xs, faults = case(spec)
+    full = simulation.simulate_inference(net, placement, model, xs, faults)
+    calls = count_layer_forward(monkeypatch)
+    timed = simulation.schedule(net, placement, spec, len(xs), faults)
+    assert calls == []
+    assert timed.outputs == []
+    assert timed.per_node == full.per_node
+    assert timed.events == full.events
+    assert timed.total_latency_max_sec == full.total_latency_max_sec
+    assert timed.total_latency_pipeline_sec == full.total_latency_pipeline_sec
+    assert timed.makespan_sec == full.makespan_sec
+    assert timed.warnings == full.warnings
+    assert timed.faults_handled == full.faults_handled
+    assert full.faults_handled == len(faults)
+
+
+def test_run_stages_is_forward(tiny_spec, monkeypatch):
+    model = cnn.build_model(tiny_spec, 6)
+    placement = partitioning.Placement([("p", (0, 2)), ("c", (2, 6))], [], "p")
+    xs = [rand_tensor((6, 6, 1), i) for i in range(3)]
+    expected = [cnn.forward(model, x).array for x in xs]
+    calls = count_layer_forward(monkeypatch)
+    outputs = simulation.run_stages(model, placement, xs)
+    assert len(calls) == len(tiny_spec.layers) * len(xs)
+    for out, want in zip(outputs, expected):
+        assert np.array_equal(out, want)
+
+
+def test_makespan_reference_fleet(default_spec):
+    """The makespan is when the last compute ends: one input's critical path,
+    then one more 10.01 s busiest-node period per pipelined input."""
+    net = partitioning.scenario_from_json(
+        read_json(data_path("scenarios", "reference_fleet.json")))
+    placement = partitioning.placement_from_json(
+        read_json(data_path("scenarios", "reference_fleet_nodes4.json")))
+    one = simulation.schedule(net, placement, default_spec, 1)
+    many = simulation.schedule(net, placement, default_spec, 32)
+    assert one.makespan_sec == pytest.approx(27.675160, abs=1e-6)
+    assert one.total_latency_max_sec == pytest.approx(10.011152, abs=1e-6)
+    assert one.makespan_sec == pytest.approx(one.total_latency_pipeline_sec)
+    assert many.makespan_sec == pytest.approx(337.67516, abs=1e-5)
+    assert many.total_latency_max_sec == pytest.approx(320.356864, abs=1e-6)
+    for report in (one, many):
+        ends = [ev.time_sec for ev in report.events if ev.kind == "compute_end"]
+        assert report.makespan_sec == max(ends)
+        assert simulation.report_to_json(report)["makespan_sec"] == report.makespan_sec
+    assert simulation.schedule(net, placement, default_spec, 0).makespan_sec == 0.0
 
 
 # --- interchange ---
