@@ -44,19 +44,37 @@ def data_path(*parts: str) -> Path:
 
 
 def _atomic_write(path: Path, write) -> None:
-    """Produce `path` through `write(tmp)` on a `.tmp` sibling, then rename;
-    a failed write removes the temporary file."""
-    tmp = path.with_name(path.name + ".tmp")
+    """Produce `path` through `write(fd)`, then rename; a failed write
+    removes the temporary file.
+
+    The temporary file is a sibling, `<name>.<random>.tmp`, created
+    exclusively so that no other writer shares it, with the mode a plain
+    `open` gives under the umask. `write` gets its open descriptor and passes
+    it to `open`, which closes it (the library writers take a path or a
+    descriptor alike). Writing through the descriptor, instead of reopening
+    the path, spares a truncation, which ext4 answers with a flush at close.
+    """
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
-        write(tmp)
+        write(fd)
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+    def write(fd):
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    _atomic_write(path, write)
 
 
 def _dump_json(doc) -> str:

@@ -14,10 +14,14 @@ Conventions fixed for reproducibility:
     by element in C order (weights first, then bias, layer by layer);
   - backpropagation runs in float64 and stops at the first trainable layer,
     whose input gradient nothing reads;
-  - a conv input gradient is one col2im bincount: each input element sums its
+  - a conv input gradient is one col2im bincount over the column gradient
+    weight @ dz.T, laid out (kh*kw, c, oh*ow): each input element sums its
     contributions in ascending (di, dj) kernel order, starting from 0.0;
   - a pool routes each output gradient to the first maximum of its window in
-    (di, dj) row-major order; the other elements of the window get 0.0.
+    (di, dj) row-major order; the other elements of the window get 0.0. The
+    window offsets are tested from last to first, each hit overwriting the
+    window's offset, so the earliest maximum is the one kept, and one scatter
+    routes the gradient.
 """
 
 from __future__ import annotations
@@ -290,12 +294,12 @@ def _apply_conv(layer: LayerSpec, w: np.ndarray, b: np.ndarray, a: np.ndarray,
     kh, kw, f = layer.kernel_h, layer.kernel_w, layer.filters
     oh, ow = a.shape[0] - kh + 1, a.shape[1] - kw + 1
     cols = _conv_cols(a.astype(np.float64, copy=False), kh, kw)
-    w2 = w.reshape(kh * kw * a.shape[2], f).astype(np.float64)
+    w2 = w.reshape(kh * kw * a.shape[2], f).astype(np.float64, copy=False)
     z = cols @ w2
-    z += b.astype(np.float64)
+    z += b.astype(np.float64, copy=False)
     if layer.activation == "relu":
         np.maximum(z, 0.0, out=z)
-    return z.reshape(oh, ow, f).astype(out_dtype)
+    return z.reshape(oh, ow, f).astype(out_dtype, copy=False)
 
 
 def _apply_pool(layer: LayerSpec, a: np.ndarray) -> np.ndarray:
@@ -312,25 +316,26 @@ def _apply_pool(layer: LayerSpec, a: np.ndarray) -> np.ndarray:
 
 def _apply_dense(layer: LayerSpec, w: np.ndarray, b: np.ndarray, a: np.ndarray,
                  out_dtype) -> np.ndarray:
-    z = a.astype(np.float64) @ w.astype(np.float64) + b.astype(np.float64)
+    z = a.astype(np.float64, copy=False) @ w.astype(np.float64, copy=False)
+    z += b.astype(np.float64, copy=False)
     if layer.activation == "relu":
-        z = np.maximum(z, 0.0)
+        np.maximum(z, 0.0, out=z)
     elif layer.activation == "softmax":
         e = np.exp(z - z.max())
         z = e / e.sum()
-    return z.astype(out_dtype)
+    return z.astype(out_dtype, copy=False)
 
 
 def _apply_layer(layer: LayerSpec, wb: tuple[np.ndarray, np.ndarray] | None,
                  a: np.ndarray, out_dtype=np.float32) -> np.ndarray:
     if layer.kind == KIND_INPUT:
-        return a.astype(out_dtype)
+        return a.astype(out_dtype, copy=False)
     if layer.kind == KIND_CONV:
         return _apply_conv(layer, wb[0], wb[1], a, out_dtype)
     if layer.kind == KIND_POOL:
         return _apply_pool(layer, a).astype(out_dtype, copy=False)
     if layer.kind == KIND_FLATTEN:
-        return a.reshape(-1).astype(out_dtype)
+        return a.reshape(-1).astype(out_dtype, copy=False)
     if layer.kind in (KIND_DENSE, KIND_SOFTMAX):
         return _apply_dense(layer, wb[0], wb[1], a, out_dtype)
     raise Unsupported(f"unknown layer kind {layer.kind!r}")
@@ -473,31 +478,48 @@ def _backward(spec: ModelSpec, params: dict, x: np.ndarray, acts: list[np.ndarra
     return grads
 
 
+@functools.lru_cache(maxsize=64)
+def _pool_base_index(h: int, w: int, c: int, win: int) -> np.ndarray:
+    """Flat-input index of the (0, 0) element of every pool window, in the
+    (oh, ow, c) layout of the pool output. Read-only, since every caller
+    shares the cached array."""
+    oh, ow = h // win, w // win
+    idx = ((np.arange(oh)[:, None] * (win * w) + np.arange(ow) * win)[:, :, None] * c
+           + np.arange(c))
+    idx.flags.writeable = False
+    return idx
+
+
 def _pool_backward(layer: LayerSpec, a_prev: np.ndarray, out: np.ndarray,
                    d: np.ndarray) -> np.ndarray:
     """Route each output gradient to the first maximum of its window, in
-    (di, dj) row-major order, over the same strided slices as _apply_pool."""
+    (di, dj) row-major order, over the same strided slices as _apply_pool.
+
+    `first` holds each window's flat offset of its maximum. It starts at the
+    last offset, since every window holds its own maximum, and the earlier
+    offsets overwrite it from last to first, so the earliest maximum wins.
+    """
     win = layer.pool_window
+    h, w, c = a_prev.shape
     oh, ow = d.shape[0], d.shape[1]
-    da = np.zeros_like(a_prev)
-    free = np.ones(d.shape, dtype=bool)  # windows whose maximum is not yet found
-    for di in range(win):
-        for dj in range(win):
-            window = (slice(di, oh * win, win), slice(dj, ow * win, win))
-            hit = a_prev[window] == out
-            hit &= free
-            free ^= hit
-            np.copyto(da[window], d, where=hit)
-    return da
+    first = np.full(d.shape, ((win - 1) * w + win - 1) * c, dtype=np.intp)
+    for k in range(win * win - 2, -1, -1):
+        di, dj = divmod(k, win)
+        window = (slice(di, oh * win, win), slice(dj, ow * win, win))
+        np.copyto(first, (di * w + dj) * c, where=a_prev[window] == out)
+    first += _pool_base_index(h, w, c, win)
+    da = np.zeros(a_prev.size)
+    da[first] = d
+    return da.reshape(a_prev.shape)
 
 
 @functools.lru_cache(maxsize=64)
 def _col2im_index(h: int, w: int, c: int, kh: int, kw: int) -> np.ndarray:
-    """_im2col_index flattened in (kh*kw, oh*ow, c) order, so a bincount over
-    it adds every input element's contributions in ascending (di, dj) order.
-    Read-only, since every caller shares the cached array."""
-    idx = _im2col_index(h, w, c, kh, kw)
-    idx = idx.reshape(idx.shape[0], kh * kw, c).transpose(1, 0, 2).ravel()
+    """_im2col_index flattened in (kh*kw, c, oh*ow) order, the layout of the
+    column gradient weight @ dz.T, so a bincount over it adds every input
+    element's contributions in ascending (di, dj) order. Read-only, since
+    every caller shares the cached array."""
+    idx = _im2col_index(h, w, c, kh, kw).T.ravel()
     idx.flags.writeable = False
     return idx
 
@@ -515,10 +537,10 @@ def _conv_backward(layer: LayerSpec, a_prev: np.ndarray, dz: np.ndarray,
     db = dz2.sum(axis=0)
     if not input_grad:
         return dw, db, None
-    # col2im: scatter the column gradient back onto the input image
-    dcols = (dz2 @ weight.reshape(kh * kw * cin, f).T).reshape(oh * ow, kh * kw, cin)
+    # col2im: scatter the (kh*kw*cin, oh*ow) column gradient onto the image
+    dcols = weight.reshape(kh * kw * cin, f) @ dz2.T
     da = np.bincount(_col2im_index(h, w, cin, kh, kw),
-                     weights=dcols.transpose(1, 0, 2).ravel(), minlength=h * w * cin)
+                     weights=dcols.ravel(), minlength=h * w * cin)
     return dw, db, da.reshape(h, w, cin)
 
 

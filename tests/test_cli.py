@@ -3,7 +3,9 @@ import copy
 import hashlib
 import io
 import json
+import os
 import shutil
+import stat
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -365,8 +367,7 @@ def test_no_partial_files_on_failure(small_corpus, tmp_path):
     target = tmp_path / "p.json"
     assert run("--quiet", "partition", "--scenario", scenario,
                "--nodes", "parent-only", "--out", target) == 3
-    assert not target.exists()
-    assert not target.with_name(target.name + ".tmp").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [
@@ -389,13 +390,44 @@ def test_memory_scale_flags_exit_2(command, flag, capsys):
 def test_atomic_write_failure_leaves_nothing(tmp_path):
     target = tmp_path / "out.txt"
 
-    def failing(tmp):
-        tmp.write_text("partial")
+    def failing(fd):
+        with open(fd, "w") as fh:
+            fh.write("partial")
         raise OSError("disk full")
 
     with pytest.raises(OSError):
         cli._atomic_write(target, failing)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_leaves_other_tmp_files_alone(tmp_path):
+    target = tmp_path / "out.txt"
+    other = tmp_path / "out.txt.tmp"  # another writer's temporary file
+    other.write_text("theirs")
+
+    def failing(fd):
+        with open(fd, "w") as fh:
+            fh.write("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        cli._atomic_write(target, failing)
+    assert sorted(tmp_path.iterdir()) == [other]
+    cli._atomic_write_text(target, "ours")
+    assert sorted(tmp_path.iterdir()) == [target, other]
+    assert target.read_text() == "ours"
+    assert other.read_text() == "theirs"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_atomic_write_mode_follows_umask(umask, tmp_path):
+    target = tmp_path / "out.txt"
+    saved = os.umask(umask)
+    try:
+        cli._atomic_write_text(target, "x")
+    finally:
+        os.umask(saved)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
 
 
 @pytest.mark.parametrize("command", [
@@ -414,13 +446,16 @@ def test_nodes_not_a_count_exits_2(command, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def _assert_config_error(code, capsys, out):
-    assert code == 2
+def _assert_config_error(capsys, out, *argv):
+    """`run("--quiet", *argv)` exits 2 with a one-line error and adds nothing
+    to the directory of its output `out`."""
+    before = sorted(out.parent.iterdir())
+    assert run("--quiet", *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not out.exists()
-    assert not out.with_name(out.name + ".tmp").exists()
+    assert sorted(out.parent.iterdir()) == before
 
 
 def test_simulate_baseline_without_latency_exits_2(small_corpus, tiny_weights,
@@ -428,12 +463,12 @@ def test_simulate_baseline_without_latency_exits_2(small_corpus, tiny_weights,
     baseline = tmp_path / "baseline.json"
     baseline.write_text("{}")
     out = tmp_path / "r.json"
-    code = run("--quiet", "simulate",
-               "--scenario", cli.data_path("scenarios", "reference_fleet.json"),
-               "--placement", cli.data_path("scenarios", "reference_fleet_nodes2.json"),
-               "--weights", tiny_weights, "--corpus", small_corpus, "--limit", 2,
-               "--baseline", baseline, "--out", out)
-    _assert_config_error(code, capsys, out)
+    _assert_config_error(
+        capsys, out, "simulate",
+        "--scenario", cli.data_path("scenarios", "reference_fleet.json"),
+        "--placement", cli.data_path("scenarios", "reference_fleet_nodes2.json"),
+        "--weights", tiny_weights, "--corpus", small_corpus, "--limit", 2,
+        "--baseline", baseline, "--out", out)
 
 
 def test_report_baseline_without_latency_exits_2(tmp_path, capsys):
@@ -445,9 +480,8 @@ def test_report_baseline_without_latency_exits_2(tmp_path, capsys):
     baseline = tmp_path / "baseline.json"
     baseline.write_text("{}")
     out = tmp_path / "metrics.json"
-    code = run("--quiet", "report", "--report", report, "--baseline", baseline,
-               "--out", out)
-    _assert_config_error(code, capsys, out)
+    _assert_config_error(capsys, out, "report", "--report", report,
+                         "--baseline", baseline, "--out", out)
 
 
 def test_manifest_image_missing_exits_2(small_corpus, tiny_weights, tmp_path,
@@ -459,10 +493,9 @@ def test_manifest_image_missing_exits_2(small_corpus, tiny_weights, tmp_path,
     for entry in manifest["samples"][1:]:
         (corpus / entry["file"]).write_bytes((small_corpus / entry["file"]).read_bytes())
     out = tmp_path / "r.json"
-    code = run("--quiet", "simulate",
-               "--scenario", cli.data_path("scenarios", "demo_fleet.json"),
-               "--weights", tiny_weights, "--corpus", corpus, "--out", out)
-    _assert_config_error(code, capsys, out)
+    _assert_config_error(capsys, out, "simulate",
+                         "--scenario", cli.data_path("scenarios", "demo_fleet.json"),
+                         "--weights", tiny_weights, "--corpus", corpus, "--out", out)
 
 
 _DROP = object()
@@ -603,7 +636,7 @@ def test_malformed_input_exits_2(target, mutate, command, small_corpus,
         "train": ["train", "--corpus", corpus, "--epochs", 1, "--out", out],
         "rank-events": ["rank-events", "--traces", files["traces"], "--out", out],
     }[command]
-    _assert_config_error(run("--quiet", *argv), capsys, out)
+    _assert_config_error(capsys, out, *argv)
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -314,6 +314,14 @@ def test_im2col_index_cached_read_only():
     col2im = cnn._col2im_index(5, 4, 3, 2, 3)
     assert col2im is cnn._col2im_index(5, 4, 3, 2, 3)
     assert not col2im.flags.writeable
+    # (kh*kw, c, oh*ow) order: the patch element index varies slowest
+    assert np.array_equal(col2im, idx.T.ravel())
+    base = cnn._pool_base_index(7, 5, 3, 2)
+    assert base is cnn._pool_base_index(7, 5, 3, 2)
+    assert not base.flags.writeable
+    # the (0, 0) element of every 2x2 window, in the pool output's layout
+    flat = np.arange(7 * 5 * 3).reshape(7, 5, 3)
+    assert np.array_equal(base, flat[:6:2, :4:2])
 
 
 # --- fast backward kernels against the reference col2im and pool backward ---
@@ -624,6 +632,43 @@ def test_backward_grads_every_trainable_layer(default_spec, tiny_spec):
         for i, (gw, gb) in grads.items():
             assert gw.shape == model.weights[i].weight.shape
             assert gb.shape == model.weights[i].bias.shape
+
+
+def test_training_pass_writes_no_input(default_spec, tiny_spec):
+    # Input and Flatten hand on views in float64, and the conv and dense
+    # kernels add biases in place: no pass may write through to an array
+    # it did not allocate.
+    for spec, seed in ((default_spec, 42), (tiny_spec, 4)):
+        model = cnn.build_model(spec, seed)
+        params = cnn._collect_params(model)
+        x = rand_tensor(spec.input_shape, seed).array.astype(np.float64)
+        saved_x = x.copy()
+        saved_params = {i: (w.copy(), b.copy()) for i, (w, b) in params.items()}
+        want, a = [], saved_x
+        for i, layer in enumerate(model.spec.layers):
+            wb = saved_params.get(i)
+            a = cnn._apply_layer(layer, wb and (wb[0].copy(), wb[1].copy()),
+                                 a.copy(), np.float64).copy()
+            want.append(a)
+        acts = cnn._forward_acts(model.spec, params, x, np.float64)
+        cnn._backward(model.spec, params, x, acts, 1)
+        _assert_same_bits(x, saved_x)
+        for i, (w, b) in params.items():
+            _assert_same_bits(w, saved_params[i][0])
+            _assert_same_bits(b, saved_params[i][1])
+        assert len(acts) == len(want)
+        for got, ref in zip(acts, want):
+            _assert_same_bits(got, ref)
+
+
+def test_layer_forward_writes_no_input(default_spec):
+    model = cnn.build_model(default_spec, 42)
+    act = rand_tensor(default_spec.input_shape, 42)
+    for i, layer in enumerate(model.spec.layers):
+        saved = act.array.copy()
+        out = cnn.layer_forward(layer, model.weights.get(i), act)
+        _assert_same_bits(act.array, saved)
+        act = out
 
 
 def test_backward_check_degenerate_zero_model():
