@@ -258,17 +258,17 @@ def _get_regressor(args) -> resources.RegressorModel:
     return resources.fit_regressor(dataset)
 
 
-def _scale(args) -> dict:
-    """The memory-model scale flags as keyword arguments."""
-    return {"n_batches": args.n_batches, "batch_size": args.batch_size,
-            "kb_per_param": args.kb_per_param}
+def _scale(args) -> int:
+    """The memory model's bytes per parameter: the product of the scale flags."""
+    return args.n_batches * args.batch_size * args.kb_per_param * resources.KB
 
 
 def cmd_estimate(args) -> int:
     spec = _load_spec(args.model)
     reg = _get_regressor(args)
-    decision = resources.predict_offload(reg, spec, args.node_free, **_scale(args))
-    mem = resources.model_bytes(spec, **_scale(args))
+    decision = resources.predict_offload(reg, spec, args.node_free,
+                                         bytes_per_param=_scale(args))
+    mem = resources.model_bytes(spec, bytes_per_param=_scale(args))
     record = {
         "verdict": decision.verdict,
         "score": decision.score,
@@ -276,7 +276,9 @@ def cmd_estimate(args) -> int:
         "node_free_bytes": args.node_free,
         "ground_truth_comparator": resources.ON_DEVICE if mem <= args.node_free
         else resources.OFFLOAD,
-        **_scale(args),
+        "n_batches": args.n_batches,
+        "batch_size": args.batch_size,
+        "kb_per_param": args.kb_per_param,
     }
     text = _dump_json(record)
     if args.out:
@@ -290,24 +292,23 @@ def cmd_estimate(args) -> int:
 
 # --- partition ----------------------------------------------------------------------
 
-def _build_placement(scenario, spec, nodes_arg, scale) -> partitioning.Placement:
-    mem = resources.model_bytes(spec, **scale)
-    if nodes_arg == "parent-only":
-        parent = scenario.node(scenario.parent_id)
-        if mem > parent.mem_free_bytes:
-            raise EdgemalError(
-                f"model needs {mem} bytes, parent has {parent.mem_free_bytes}")
-        return partitioning.single_node_placement(spec, scenario.parent_id)
-    if nodes_arg is not None:
+def _build_placement(scenario, spec, nodes_arg,
+                     bytes_per_param) -> partitioning.Placement:
+    """`--nodes parent-only` is node selection capped at the parent; a count
+    takes that many candidates; no `--nodes` selects by memory."""
+    if isinstance(nodes_arg, int):
         candidates = partitioning.candidate_order(
             scenario, scenario.parent_id, scenario.radius_r)
         if nodes_arg > len(candidates):
             raise _ConfigError(f"--nodes must be in [1, {len(candidates)}]")
         chosen = candidates[:nodes_arg]
     else:
-        chosen = partitioning.select_nodes(scenario, scenario.parent_id,
-                                           scenario.radius_r, mem, scenario.max_nodes)
-    return partitioning.partition_layers(spec, chosen, **scale)
+        mem = resources.model_bytes(spec, bytes_per_param=bytes_per_param)
+        chosen = partitioning.select_nodes(
+            scenario, scenario.parent_id, scenario.radius_r, mem,
+            1 if nodes_arg == "parent-only" else scenario.max_nodes)
+    return partitioning.partition_layers(spec, chosen,
+                                         bytes_per_param=bytes_per_param)
 
 
 def cmd_partition(args) -> int:
@@ -340,10 +341,13 @@ def _latency_of(doc) -> SimpleNamespace:
 def cmd_simulate(args) -> int:
     if args.event_log and len(args.scenario) > 1:
         raise _ConfigError("--event-log takes a single scenario")
+    scenario_paths = [Path(p) for p in args.scenario]
+    if len({path.stem for path in scenario_paths}) < len(scenario_paths):
+        raise _ConfigError("--scenario files must have distinct names: each "
+                           "writes <name>_report.json into --out")
     spec = _load_spec(args.model)
     model = _load(args.weights, cnn.weights_from_json, spec)
     _, images, labels, names = _load_corpus(Path(args.corpus), args.limit)
-    scenario_paths = [Path(p) for p in args.scenario]
     scenarios = [_load(path, partitioning.scenario_from_json)
                  for path in scenario_paths]
     placement = (_load(args.placement, partitioning.placement_from_json)
@@ -354,12 +358,14 @@ def cmd_simulate(args) -> int:
     # schedule every scenario before running any layer, so a bad scenario
     # fails first; the outputs do not depend on the scenario, so one run of
     # the stages serves every report
-    scale = _scale(args)
+    bytes_per_param = _scale(args)
     reports = []
     for scenario in scenarios:
-        placed = placement or _build_placement(scenario, spec, args.nodes, scale)
+        placed = placement or _build_placement(scenario, spec, args.nodes,
+                                               bytes_per_param)
         reports.append(simulation.schedule(scenario, placed, model.spec,
-                                           len(images), faults, **scale))
+                                           len(images), faults,
+                                           bytes_per_param=bytes_per_param))
     outputs = simulation.run_stages(model, placed, images)
     for report in reports:
         report.outputs = outputs

@@ -31,6 +31,12 @@ PIXELS = FULL_SIDE * FULL_SIDE
 CLASS_NAMES = ("benign", "backdoor", "rootkit", "trojan", "virus", "worm")
 
 
+def _class_names(count: int) -> list[str]:
+    """The first `count` CLASS_NAMES, then malware<k> for class k beyond them."""
+    return [*CLASS_NAMES[:count],
+            *(f"malware{k}" for k in range(len(CLASS_NAMES), count))]
+
+
 @dataclass
 class TraceSet:
     """Labeled event matrix: one row per sample, one column per event."""
@@ -218,9 +224,7 @@ def gen_synthetic_corpus(*, samples_per_class: int, events: int = 16,
     if events < classes - 1:
         raise ValueError(f"need >= {classes - 1} events for {classes} classes")
 
-    names = list(CLASS_NAMES[:classes])
-    while len(names) < classes:
-        names.append(f"malware{len(names)}")
+    names = _class_names(classes)
 
     base_mean = 100.0
     shift = 50.0
@@ -334,7 +338,7 @@ def write_traces_csv(traces: TraceSet, path) -> None:
             writer.writerow([repr(float(v)) for v in row] + [int(lab)])
 
 
-def read_traces_csv(path, class_names: list[str] | None = None) -> TraceSet:
+def read_traces_csv(path) -> TraceSet:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -346,13 +350,9 @@ def read_traces_csv(path, class_names: list[str] | None = None) -> TraceSet:
         for rec in reader:
             rows.append([float(v) for v in rec[:-1]])
             labels.append(int(rec[-1]))
-    if class_names is None:
-        top = max(labels) + 1 if labels else 1
-        class_names = list(CLASS_NAMES[:top])
-        while len(class_names) < top:
-            class_names.append(f"malware{len(class_names)}")
     return TraceSet(names, np.asarray(rows, dtype=np.float64),
-                    np.asarray(labels, dtype=np.int64), class_names)
+                    np.asarray(labels, dtype=np.int64),
+                    _class_names(max(labels) + 1 if labels else 1))
 
 
 def ranked_to_json(ranked: list[EventRank]) -> list[dict]:

@@ -205,8 +205,8 @@ def _normalize_budgets(nodes) -> list[tuple[str, int]]:
     return out
 
 
-def partition_layers(spec: cnn.ModelSpec, nodes, *, n_batches: int = 1,
-                     batch_size: int = 1, kb_per_param: int = 1) -> Placement:
+def partition_layers(spec: cnn.ModelSpec, nodes, *,
+                     bytes_per_param: int = resources.KB) -> Placement:
     """Assign contiguous layer ranges front to back.
 
     Each node takes the longest prefix of the remaining layers whose
@@ -218,9 +218,7 @@ def partition_layers(spec: cnn.ModelSpec, nodes, *, n_batches: int = 1,
     budgets = _normalize_budgets(nodes)
     if not budgets:
         raise InfeasiblePartition("no nodes given")
-    per_layer = resources.layer_bytes(spec, n_batches=n_batches,
-                                      batch_size=batch_size,
-                                      kb_per_param=kb_per_param)
+    per_layer = resources.layer_bytes(spec, bytes_per_param=bytes_per_param)
     total = sum(per_layer)
     if sum(free for _, free in budgets) < total:
         raise InfeasiblePartition(
@@ -270,23 +268,21 @@ def cut_bytes(spec: cnn.ModelSpec, placement: Placement) -> list[int]:
 
 
 def single_node_placement(spec: cnn.ModelSpec, node_id: str) -> Placement:
-    """All layers on one node; used for the on-device reference runs."""
+    """All layers on one node: the on-device reference run's placement."""
     n_layers = len(cnn.resolve_spec(spec).layers)
     return Placement([(node_id, (0, n_layers))], [], node_id)
 
 
 def validate_placement(placement: Placement, network: NetworkScenario,
-                       spec: cnn.ModelSpec, *, n_batches: int = 1,
-                       batch_size: int = 1, kb_per_param: int = 1) -> list[Violation]:
+                       spec: cnn.ModelSpec, *,
+                       bytes_per_param: int = resources.KB) -> list[Violation]:
     """Check coverage, contiguity, memory bounds, node status and links.
 
     Returns every violation found; an empty list means the placement is ok.
     """
     violations: list[Violation] = []
     try:
-        per_layer = resources.layer_bytes(spec, n_batches=n_batches,
-                                          batch_size=batch_size,
-                                          kb_per_param=kb_per_param)
+        per_layer = resources.layer_bytes(spec, bytes_per_param=bytes_per_param)
     except ShapeMismatch as exc:
         return [Violation("BadSpec", str(exc))]
     n_layers = len(per_layer)

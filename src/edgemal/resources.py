@@ -2,9 +2,9 @@
 logistic regressor that decides on-device vs. offloaded inference.
 
 The memory model is deliberately coarse: every parameter costs a fixed
-number of kilobytes (default 1 KB = 1024 bytes), scaled by batch count and
-batch size. All byte arithmetic uses Python integers, so totals never
-overflow.
+number of bytes, `bytes_per_param` (default KB = 1024). The CLI's
+`--n-batches`, `--batch-size` and `--kb-per-param` flags multiply into it.
+All byte arithmetic uses Python integers, so totals never overflow.
 """
 
 from __future__ import annotations
@@ -43,14 +43,6 @@ class ParamProfile:
 
     per_layer: tuple[int, ...]
     total: int
-
-
-@dataclass(frozen=True)
-class MemoryQuery:
-    profile: ParamProfile
-    n_batches: int = 1
-    batch_size: int = 1
-    kb_per_param: int = 1
 
 
 @dataclass
@@ -101,63 +93,41 @@ def _param_profile(rspec: cnn.ModelSpec) -> ParamProfile:
     return ParamProfile(per_layer, sum(per_layer))
 
 
-def _bytes_per_param(n_batches: int, batch_size: int, kb_per_param: int) -> int:
-    """Bytes one parameter costs: batches x batch size x KB per parameter."""
-    if n_batches < 1 or batch_size < 1 or kb_per_param < 1:
-        raise ValueError("n_batches, batch_size and kb_per_param must be >= 1")
-    return n_batches * batch_size * kb_per_param * KB
+def _layer_bytes(profile: ParamProfile, bytes_per_param: int) -> list[int]:
+    if bytes_per_param < 1:
+        raise ValueError(f"bytes_per_param must be >= 1, got {bytes_per_param}")
+    return [count * bytes_per_param for count in profile.per_layer]
 
 
-def estimate_model_memory(query: MemoryQuery) -> int:
-    """Bytes needed to host inference: batches x batch size x params x KB."""
-    return query.profile.total * _bytes_per_param(
-        query.n_batches, query.batch_size, query.kb_per_param)
+def layer_bytes(spec: cnn.ModelSpec, *, bytes_per_param: int = KB) -> list[int]:
+    """Bytes each layer needs to host inference: its parameters times
+    `bytes_per_param`. A `bytes_per_param` below 1 raises ValueError."""
+    return _layer_bytes(count_model_params(spec), bytes_per_param)
 
 
-def model_bytes(spec: cnn.ModelSpec, *, n_batches: int = 1, batch_size: int = 1,
-                kb_per_param: int = 1) -> int:
-    return estimate_model_memory(MemoryQuery(count_model_params(spec),
-                                             n_batches, batch_size, kb_per_param))
-
-
-def layer_bytes(spec: cnn.ModelSpec, *, n_batches: int = 1, batch_size: int = 1,
-                kb_per_param: int = 1) -> list[int]:
-    """Per-layer byte costs under the same memory model; sums to model_bytes."""
-    scale = _bytes_per_param(n_batches, batch_size, kb_per_param)
-    return [count * scale for count in count_model_params(spec).per_layer]
+def model_bytes(spec: cnn.ModelSpec, *, bytes_per_param: int = KB) -> int:
+    return sum(layer_bytes(spec, bytes_per_param=bytes_per_param))
 
 
 # --- feature assembly -------------------------------------------------------------
 
-def _weight_bias_counts(rspec: cnn.ModelSpec) -> tuple[int, int]:
-    weights = 0
-    biases = 0
-    for layer in rspec.layers:
-        if layer.kind == cnn.KIND_CONV:
-            weights += layer.kernel_h * layer.kernel_w * layer.in_channels * layer.filters
-            biases += layer.filters
-        elif layer.kind in (cnn.KIND_DENSE, cnn.KIND_SOFTMAX):
-            weights += layer.prev_units * layer.units
-            biases += layer.units
-    return weights, biases
-
-
 def feature_vector(spec: cnn.ModelSpec, node_free_bytes: int, *,
-                   n_batches: int = 1, batch_size: int = 1,
-                   kb_per_param: int = 1) -> np.ndarray:
+                   bytes_per_param: int = KB) -> np.ndarray:
     """Regressor input in FEATURE_NAMES order. total_activations counts every
     layer's output elements, the input passthrough included."""
     rspec = cnn.resolve_spec(spec)
     profile = _param_profile(rspec)
-    mem = estimate_model_memory(MemoryQuery(profile, n_batches, batch_size,
-                                            kb_per_param))
+    mem = sum(_layer_bytes(profile, bytes_per_param))
     return _features(rspec, profile, mem, node_free_bytes)
 
 
 def _features(rspec: cnn.ModelSpec, profile: ParamProfile, mem: int,
               node_free_bytes: int) -> np.ndarray:
-    """feature_vector's row for a resolved spec, its profile and model bytes."""
-    weights, biases = _weight_bias_counts(rspec)
+    """feature_vector's row for a resolved spec, its profile and model bytes.
+    A layer with parameters has one bias per output channel or unit."""
+    biases = sum(layer.out_shape[-1]
+                 for layer, count in zip(rspec.layers, profile.per_layer) if count)
+    weights = profile.total - biases
     activations = sum(math.prod(layer.out_shape) for layer in rspec.layers)
     return np.array([profile.total, weights, biases, activations,
                      mem, node_free_bytes, node_free_bytes - mem],
@@ -215,11 +185,11 @@ def build_regressor_dataset(seed: int, n_samples: int) -> tuple[np.ndarray, np.n
         profile = _param_profile(rspec)
         target = (1 + rng.randint(16)) * 1024 * KB
         scale = max(1, round(target / (profile.total * KB)))
-        if rng.randint(2):
-            n_batches, batch_size = 1, scale
-        else:
-            n_batches, batch_size = scale, 1
-        mem = estimate_model_memory(MemoryQuery(profile, n_batches, batch_size))
+        # this draw selects nothing, since (1, scale) and (scale, 1) batches
+        # cost the same bytes; it stays so that the stream, and with it the
+        # dataset, does not move
+        rng.randint(2)
+        mem = profile.total * scale * KB
         roll = rng.randint(10)
         if roll == 0:
             node = mem
@@ -270,13 +240,12 @@ def regressor_score(reg: RegressorModel, features: np.ndarray) -> float:
 
 
 def predict_offload(reg: RegressorModel | None, spec: cnn.ModelSpec,
-                    node_free_bytes: int, *, n_batches: int = 1,
-                    batch_size: int = 1, kb_per_param: int = 1) -> OffloadDecision:
+                    node_free_bytes: int, *,
+                    bytes_per_param: int = KB) -> OffloadDecision:
     """Assemble the feature vector, apply the fitted model, threshold at 0.5."""
     if reg is None or reg.beta is None or len(reg.beta) != len(FEATURE_NAMES) + 1:
         raise UnfittedModel("predict_offload needs a fitted regressor")
-    feats = feature_vector(spec, node_free_bytes, n_batches=n_batches,
-                           batch_size=batch_size, kb_per_param=kb_per_param)
+    feats = feature_vector(spec, node_free_bytes, bytes_per_param=bytes_per_param)
     score = regressor_score(reg, feats)
     verdict = ON_DEVICE if score >= 0.5 else OFFLOAD
     return OffloadDecision(verdict, score)

@@ -38,7 +38,6 @@ from .partitioning import (
     NetworkScenario,
     Placement,
     cut_bytes,
-    single_node_placement,
     validate_placement,
 )
 
@@ -102,38 +101,18 @@ def _range_flops(rspec: cnn.ModelSpec, lo: int, hi: int) -> int:
     return sum(cnn.layer_flops(layer) for layer in rspec.layers[lo:hi])
 
 
-def simulate_on_device(scenario: NetworkScenario, node_id: str, model: cnn.Model,
-                       inputs: list[Tensor], *, n_batches: int = 1,
-                       batch_size: int = 1, kb_per_param: int = 1) -> SimReport:
-    """Whole-model inference on one node; the reference for speedup.
-
-    Runs `simulate_inference` with every layer placed on `node_id`. A node
-    that is unknown, offline, too small for the model or without spare
-    capacity raises InsufficientResources.
-    """
-    placement = single_node_placement(model.spec, node_id)
-    try:
-        return simulate_inference(scenario, placement, model, inputs,
-                                  n_batches=n_batches, batch_size=batch_size,
-                                  kb_per_param=kb_per_param)
-    except InvalidPlacement as exc:
-        raise InsufficientResources(str(exc)) from exc
-
-
 def simulate_inference(scenario: NetworkScenario, placement: Placement,
                        model: cnn.Model, inputs: list[Tensor],
-                       faults: list[FaultEvent] = (), *, n_batches: int = 1,
-                       batch_size: int = 1, kb_per_param: int = 1) -> SimReport:
+                       faults: list[FaultEvent] = ()) -> SimReport:
     """Run placed inference with pipelined inputs and fault takeover: the
     `schedule` of `inputs` with the outputs of `run_stages`.
 
     Outputs are exact regardless of faults: a failed stage runs on the parent
     from its replica, with the stage's compute charged to the parent at the
-    parent's effective speed.
+    parent's effective speed. Memory is checked at the default bytes per
+    parameter; `schedule` takes another.
     """
-    report = schedule(scenario, placement, model.spec, len(inputs), faults,
-                      n_batches=n_batches, batch_size=batch_size,
-                      kb_per_param=kb_per_param)
+    report = schedule(scenario, placement, model.spec, len(inputs), faults)
     report.outputs = run_stages(model, placement, inputs)
     return report
 
@@ -153,8 +132,8 @@ def run_stages(model: cnn.Model, placement: Placement,
 
 
 def schedule(scenario: NetworkScenario, placement: Placement, spec: cnn.ModelSpec,
-             n_inputs: int, faults: list[FaultEvent] = (), *, n_batches: int = 1,
-             batch_size: int = 1, kb_per_param: int = 1) -> SimReport:
+             n_inputs: int, faults: list[FaultEvent] = (), *,
+             bytes_per_param: int = resources.KB) -> SimReport:
     """The timing of `n_inputs` pipelined inputs through `placement`, with
     fault takeover: per-node usage, events, latencies and warnings, and no
     outputs. Reads no weights and runs no layer.
@@ -164,8 +143,7 @@ def schedule(scenario: NetworkScenario, placement: Placement, spec: cnn.ModelSpe
     a fault on an unknown node, on the parent or before time 0 InvalidFault.
     """
     violations = validate_placement(placement, scenario, spec,
-                                    n_batches=n_batches, batch_size=batch_size,
-                                    kb_per_param=kb_per_param)
+                                    bytes_per_param=bytes_per_param)
     if violations:
         raise InvalidPlacement("; ".join(f"{v.kind}: {v.message}" for v in violations))
 
@@ -185,9 +163,7 @@ def schedule(scenario: NetworkScenario, placement: Placement, spec: cnn.ModelSpe
     rspec = cnn.resolve_spec(spec)
     stages = placement.assignments
     cuts = cut_bytes(rspec, placement)
-    per_layer_bytes = resources.layer_bytes(rspec, n_batches=n_batches,
-                                            batch_size=batch_size,
-                                            kb_per_param=kb_per_param)
+    per_layer_bytes = resources.layer_bytes(rspec, bytes_per_param=bytes_per_param)
     range_bytes = [sum(per_layer_bytes[lo:hi]) for _, (lo, hi) in stages]
 
     parent = scenario.node(parent_id)
@@ -276,8 +252,6 @@ def schedule(scenario: NetworkScenario, placement: Placement, spec: cnn.ModelSpe
     # memory accounting: the parent stores replicas of every partition plus
     # the activation buffers for each boundary; children store their own range
     total_model_bytes = sum(range_bytes)
-    for node_id, _ in stages:
-        usage[node_id].bytes_consumed = 0
     for (node_id, _), rbytes in zip(stages, range_bytes):
         usage[node_id].bytes_consumed += rbytes
     usage[parent_id].bytes_consumed = total_model_bytes + sum(cuts)

@@ -243,7 +243,9 @@ def _reference_runs(default_spec):
         read_json(data_path("scenarios", "reference_fleet.json")))
     model = cnn.build_model(default_spec, 42)
     x = rand_tensor((32, 32, 1), 0, -128.0, 127.0)
-    base = simulation.simulate_on_device(scenario, scenario.parent_id, model, [x])
+    base = simulation.simulate_inference(
+        scenario, partitioning.single_node_placement(default_spec, scenario.parent_id),
+        model, [x])
     runs = [(1, base)]
     for k in (2, 3, 4):
         placement = partitioning.placement_from_json(
@@ -309,8 +311,9 @@ def test_criterion_8_resource_report_shape(default_spec):
         [partitioning.NodeProfile("solo", 8 * MB, 1e6, 0.0, (0.0, 0.0))],
         [], 10.0, "solo")
     solo_model = cnn.build_model(four_mb_spec, 0)
-    solo_report = simulation.simulate_on_device(
-        solo, "solo", solo_model, [rand_tensor((511, 1, 1), 2)])
+    solo_report = simulation.simulate_inference(
+        solo, partitioning.single_node_placement(four_mb_spec, "solo"), solo_model,
+        [rand_tensor((511, 1, 1), 2)])
     exact = solo_report.per_node["solo"].bytes_consumed == estimate
     _report(8, "resource-report shape", shape_ok and exact,
             f"parent > children in {multi_runs} multi-node runs; "

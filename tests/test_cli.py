@@ -355,11 +355,13 @@ def test_missing_file_exits_2(small_corpus, tiny_weights, tmp_path):
                "--out", tmp_path / "x.json") == 2
 
 
-def test_domain_error_exits_3(small_corpus, tmp_path):
+def test_domain_error_exits_3(small_corpus, tmp_path, capsys):
     # demo fleet parent cannot host the whole model on-device
     scenario = cli.data_path("scenarios", "demo_fleet.json")
     assert run("--quiet", "partition", "--scenario", scenario,
                "--nodes", "parent-only", "--out", tmp_path / "p.json") == 3
+    assert capsys.readouterr().err == (
+        "error: 1 candidate nodes hold 2000000 bytes, model needs 8953856\n")
 
 
 def test_no_partial_files_on_failure(small_corpus, tmp_path):
@@ -368,6 +370,106 @@ def test_no_partial_files_on_failure(small_corpus, tmp_path):
     assert run("--quiet", "partition", "--scenario", scenario,
                "--nodes", "parent-only", "--out", target) == 3
     assert list(tmp_path.iterdir()) == []
+
+
+def _offline_parent(inputs: Path) -> Path:
+    """The reference fleet with its parent p0 offline."""
+    doc = read_json(cli.data_path("scenarios", "reference_fleet.json"))
+    doc["nodes"][0]["online"] = False
+    path = inputs / "offline_parent.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _same_stem(inputs: Path) -> list[Path]:
+    """Two scenario files, a/fleet.json and b/fleet.json, of one stem."""
+    paths = []
+    for sub, name in (("a", "reference_fleet.json"), ("b", "demo_fleet.json")):
+        (inputs / sub).mkdir()
+        paths.append(inputs / sub / "fleet.json")
+        shutil.copy(cli.data_path("scenarios", name), paths[-1])
+    return paths
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda inputs, out: (
+        ["partition", "--scenario", _offline_parent(inputs), "--nodes", "parent-only",
+         "--out", out / "p.json"], 3, "error: parent 'p0' is offline"),
+        id="parent-only-offline-parent"),
+    pytest.param(lambda inputs, out: (
+        ["partition", "--scenario", _offline_parent(inputs), "--out", out / "p.json"],
+        3, "error: parent 'p0' is offline"), id="auto-partition-offline-parent"),
+    pytest.param(lambda inputs, out: (
+        ["simulate", "--scenario", *_same_stem(inputs), "--nodes", 3,
+         "--out", out / "reports"], 2, "error: --scenario files must have distinct"),
+        id="simulate-duplicate-stems"),
+])
+def test_failing_command_writes_nothing(case, small_corpus, tiny_weights, tmp_path,
+                                        monkeypatch, capsys):
+    inputs = tmp_path / "inputs"
+    out = tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    argv, code, error = case(inputs, out)
+    if argv[0] == "simulate":
+        argv += ["--weights", tiny_weights, "--corpus", small_corpus, "--limit", 2]
+
+    def no_schedule(*args, **kwargs):
+        raise AssertionError("a schedule ran")
+
+    monkeypatch.setattr(simulation, "schedule", no_schedule)
+    assert run("--quiet", *argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(error)
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def _scaled(n_batches, batch_size, kb_per_param):
+    return ["--n-batches", n_batches, "--batch-size", batch_size,
+            "--kb-per-param", kb_per_param]
+
+
+def test_estimate_scale_flags_multiply(tmp_path):
+    out = tmp_path / "d.json"
+    assert run("--quiet", "estimate", "--node-free", 100_000_000, *_scaled(2, 3, 4),
+               "--out", out) == 0
+    doc = json.loads(out.read_text())
+    assert doc["model_bytes"] == 24 * 8_953_856 == 214_892_544
+    assert (doc["n_batches"], doc["batch_size"], doc["kb_per_param"]) == (2, 3, 4)
+    assert doc["ground_truth_comparator"] == "Offload"
+
+
+@pytest.mark.parametrize("flags, ranges", [
+    pytest.param([], "p0:[0..10]", id="default"),
+    pytest.param(["--kb-per-param", 2], "p0:[0..7], c1:[8..10]", id="kb-per-param-2"),
+    pytest.param(_scaled(2, 1, 1), "p0:[0..7], c1:[8..10]", id="n-batches-2"),
+    pytest.param(_scaled(1, 2, 1), "p0:[0..7], c1:[8..10]", id="batch-size-2"),
+])
+def test_partition_scale_flags(flags, ranges, tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert run("partition", "--scenario", cli.data_path("scenarios", "reference_fleet.json"),
+               *flags, "--out", out) == 0
+    assert capsys.readouterr().out == f"placement: {ranges}\n"
+    doc = json.loads(out.read_text())
+    assert [entry["node_id"] for entry in doc["assignments"]] == [
+        part.split(":")[0] for part in ranges.split(", ")]
+
+
+def test_simulate_scale_flags(small_corpus, tiny_weights, tmp_path):
+    # at 2 KB per parameter the parent p0 holds layers 0..7 and c1 the rest;
+    # the parent stores every range plus the cut activation
+    scenario = cli.data_path("scenarios", "reference_fleet.json")
+    assert run("--quiet", "partition", "--scenario", scenario, "--kb-per-param", 2,
+               "--out", tmp_path / "p.json") == 0
+    cut = json.loads((tmp_path / "p.json").read_text())["cut_bytes"]
+    assert run("--quiet", "simulate", "--scenario", scenario, "--kb-per-param", 2,
+               "--weights", tiny_weights, "--corpus", small_corpus, "--limit", 1,
+               "--out", tmp_path / "r.json") == 0
+    per_node = json.loads((tmp_path / "r.json").read_text())["per_node"]
+    assert sorted(per_node) == ["c1", "p0"]
+    assert per_node["p0"]["bytes_consumed"] == 2 * 8_953_856 + sum(cut)
+    assert per_node["p0"]["layers_executed"] == 8
 
 
 @pytest.mark.parametrize("command", [

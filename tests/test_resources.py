@@ -62,31 +62,43 @@ def test_counts_match_enumeration(default_spec):
 
 # --- memory estimation ---
 
+def _dense_spec(inputs: int, units: int) -> cnn.ModelSpec:
+    """Input, Flatten and a Softmax head: (inputs + 1) x units parameters."""
+    return cnn.ModelSpec((inputs, 1, 1), (cnn.LayerSpec("Input"),
+                                          cnn.LayerSpec("Flatten"),
+                                          cnn.LayerSpec("Softmax", units=units)))
+
+
 def test_memory_example():
-    profile = resources.ParamProfile((5000,), 5000)
-    assert resources.estimate_model_memory(resources.MemoryQuery(profile)) == 5_120_000
+    spec = _dense_spec(999, 5)  # 5000 parameters
+    assert resources.model_bytes(spec) == 5_120_000
+    assert resources.layer_bytes(spec) == [0, 0, 5_120_000]
 
 
 def test_memory_zero_params():
-    profile = resources.ParamProfile((), 0)
-    assert resources.estimate_model_memory(resources.MemoryQuery(profile)) == 0
+    spec = cnn.ModelSpec((1, 1, 1), (
+        cnn.LayerSpec("Input"),
+        cnn.LayerSpec("Pool", pool_window=1),
+        cnn.LayerSpec("Flatten"),
+        cnn.LayerSpec("Softmax", units=1),
+    ))
+    assert resources.layer_bytes(spec) == [0, 0, 0, 2 * 1024]
 
 
 def test_memory_linearity():
-    profile = resources.ParamProfile((100,), 100)
-    base = resources.estimate_model_memory(resources.MemoryQuery(profile))
-    assert resources.estimate_model_memory(
-        resources.MemoryQuery(profile, batch_size=2)) == 2 * base
-    assert resources.estimate_model_memory(
-        resources.MemoryQuery(profile, n_batches=3)) == 3 * base
-    assert resources.estimate_model_memory(
-        resources.MemoryQuery(profile, kb_per_param=4)) == 4 * base
+    spec = _dense_spec(99, 1)  # 100 parameters
+    base = resources.model_bytes(spec)
+    for factor in (2, 3, 4):
+        assert resources.model_bytes(
+            spec, bytes_per_param=factor * resources.KB) == factor * base
+    assert resources.model_bytes(spec, bytes_per_param=1) == 100
 
 
-def test_memory_no_overflow():
-    profile = resources.ParamProfile((10 ** 12,), 10 ** 12)
-    q = resources.MemoryQuery(profile, n_batches=10 ** 6, batch_size=10 ** 6)
-    assert resources.estimate_model_memory(q) == 10 ** 24 * 1024
+def test_memory_no_overflow(default_spec):
+    huge = 10 ** 24 * resources.KB
+    assert resources.model_bytes(default_spec, bytes_per_param=huge) == 8744 * huge
+    assert resources.feature_vector(default_spec, 0, bytes_per_param=huge)[
+        resources.FEATURE_NAMES.index("res_model_bytes")] == float(8744 * huge)
 
 
 def test_layer_bytes_sum_to_model_bytes(default_spec):
@@ -94,13 +106,15 @@ def test_layer_bytes_sum_to_model_bytes(default_spec):
     assert sum(per) == resources.model_bytes(default_spec) == 8_953_856
 
 
-@pytest.mark.parametrize("scale", [{"n_batches": 0}, {"batch_size": -1},
-                                   {"kb_per_param": 0}])
+@pytest.mark.parametrize("scale", [{"bytes_per_param": 0}, {"bytes_per_param": -1},
+                                   {"bytes_per_param": -resources.KB}])
 def test_memory_scale_must_be_positive(default_spec, scale):
     with pytest.raises(ValueError):
         resources.layer_bytes(default_spec, **scale)
     with pytest.raises(ValueError):
         resources.model_bytes(default_spec, **scale)
+    with pytest.raises(ValueError):
+        resources.feature_vector(default_spec, 0, **scale)
 
 
 # --- regressor dataset ---
@@ -126,6 +140,18 @@ def test_dataset_labels_follow_comparator():
     node = xs[:, resources.FEATURE_NAMES.index("res_node_bytes")]
     assert np.array_equal(ys, (mem <= node).astype(np.float64))
     assert ys.min() == 0.0 and ys.max() == 1.0
+
+
+def test_feature_weights_and_biases_match_enumeration(default_spec):
+    rng = SplitMix64(23)
+    specs = [default_spec] + [resources.sample_model_spec(rng) for _ in range(50)]
+    index = {name: resources.FEATURE_NAMES.index(name)
+             for name in ("total_weights", "total_biases")}
+    for i, spec in enumerate(specs):
+        weights = cnn.build_model(spec, i).weights.values()
+        feats = resources.feature_vector(spec, 0)
+        assert feats[index["total_weights"]] == sum(lw.weight.array.size for lw in weights)
+        assert feats[index["total_biases"]] == sum(lw.bias.array.size for lw in weights)
 
 
 def test_zero_capacity_labels_offload(default_spec):

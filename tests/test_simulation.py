@@ -23,6 +23,12 @@ def fleet(node_specs, links, parent="p", radius=100.0):
     return partitioning.NetworkScenario(nodes, link_objs, radius, parent)
 
 
+def on_device(net, node_id, model, xs):
+    """Whole-model inference on one node: the reference run for speedup."""
+    return simulation.simulate_inference(
+        net, partitioning.single_node_placement(model.spec, node_id), model, xs)
+
+
 @pytest.fixture(scope="module")
 def balanced_spec():
     # flop chain [0, 0, 32, 16, 16]: layers 0-2 and 3-4 both cost 32
@@ -41,8 +47,7 @@ def test_on_device_busy_is_flops_over_speed(tiny_spec):
     model = cnn.build_model(tiny_spec, 1)
     flops = cnn.model_flops(tiny_spec)
     net = fleet([("p", 10 * MB, 10.0, 0.0, (0, 0))], [])
-    report = simulation.simulate_on_device(net, "p", model,
-                                           [rand_tensor((6, 6, 1), 0)])
+    report = on_device(net, "p", model, [rand_tensor((6, 6, 1), 0)])
     assert report.total_latency_max_sec == pytest.approx(flops / 10.0)
     assert report.per_node["p"].bytes_consumed == resources.model_bytes(tiny_spec)
 
@@ -51,8 +56,7 @@ def test_on_device_workload_halves_speed(tiny_spec):
     model = cnn.build_model(tiny_spec, 1)
     flops = cnn.model_flops(tiny_spec)
     net = fleet([("p", 10 * MB, 10.0, 0.5, (0, 0))], [])
-    report = simulation.simulate_on_device(net, "p", model,
-                                           [rand_tensor((6, 6, 1), 0)])
+    report = on_device(net, "p", model, [rand_tensor((6, 6, 1), 0)])
     assert report.total_latency_max_sec == pytest.approx(2 * flops / 10.0)
 
 
@@ -60,7 +64,7 @@ def test_on_device_outputs_match_forward(tiny_spec):
     model = cnn.build_model(tiny_spec, 2)
     xs = [rand_tensor((6, 6, 1), i) for i in range(4)]
     net = fleet([("p", 10 * MB, 1e3, 0.0, (0, 0))], [])
-    report = simulation.simulate_on_device(net, "p", model, xs)
+    report = on_device(net, "p", model, xs)
     for out, x in zip(report.outputs, xs):
         assert np.array_equal(out, cnn.forward(model, x).array)
 
@@ -68,15 +72,15 @@ def test_on_device_outputs_match_forward(tiny_spec):
 def test_on_device_insufficient_memory(tiny_spec):
     model = cnn.build_model(tiny_spec, 1)
     net = fleet([("p", 10, 10.0, 0.0, (0, 0))], [])
-    with pytest.raises(InsufficientResources):
-        simulation.simulate_on_device(net, "p", model, [])
+    with pytest.raises(InvalidPlacement, match="MemoryExceeded"):
+        on_device(net, "p", model, [])
 
 
 def test_on_device_no_spare_capacity(tiny_spec):
     model = cnn.build_model(tiny_spec, 1)
     net = fleet([("p", 10 * MB, 10.0, 1.0, (0, 0))], [])
     with pytest.raises(InsufficientResources):
-        simulation.simulate_on_device(net, "p", model, [])
+        on_device(net, "p", model, [])
 
 
 def test_on_device_unknown_or_offline_node(tiny_spec):
@@ -85,20 +89,18 @@ def test_on_device_unknown_or_offline_node(tiny_spec):
         [partitioning.NodeProfile("p", 10 * MB, 10.0),
          partitioning.NodeProfile("q", 10 * MB, 10.0, online=False)],
         [], 100.0, "p")
-    for node_id in ("x", "q"):
-        with pytest.raises(InsufficientResources):
-            simulation.simulate_on_device(net, node_id, model, [])
+    for node_id, kind in (("x", "UnknownNode"), ("q", "NodeOffline")):
+        with pytest.raises(InvalidPlacement, match=kind):
+            on_device(net, node_id, model, [])
 
 
 def test_on_device_is_single_node_placement(tiny_spec):
     model = cnn.build_model(tiny_spec, 2)
     xs = [rand_tensor((6, 6, 1), i) for i in range(5)]
     net = fleet([("p", 10 * MB, 1e3, 0.25, (0, 0))], [])
-    solo = simulation.simulate_on_device(net, "p", model, xs)
-    placed = simulation.simulate_inference(
-        net, partitioning.single_node_placement(tiny_spec, "p"), model, xs)
-    assert simulation.report_to_json(solo) == simulation.report_to_json(placed)
-    assert solo.events == placed.events
+    solo = on_device(net, "p", model, xs)
+    assert list(solo.per_node) == ["p"]
+    assert solo.per_node["p"].layers_executed == len(xs) * len(tiny_spec.layers)
     # back-to-back inputs: each starts when the previous one ends
     per_input = cnn.model_flops(tiny_spec) / (1e3 * 0.75)
     expected = []
@@ -119,7 +121,7 @@ def test_equal_split_halves_latency(balanced_spec):
                 [("p", "c", 0.0, 1e12)])
     placement = partitioning.Placement([("p", (0, 3)), ("c", (3, 5))], [], "p")
     xs = [rand_tensor((8, 1, 1), i) for i in range(10)]
-    base = simulation.simulate_on_device(net, "p", model, xs)
+    base = on_device(net, "p", model, xs)
     par = simulation.simulate_inference(net, placement, model, xs)
     assert simulation.speedup(base, par) == pytest.approx(2.0)
 
@@ -131,7 +133,7 @@ def test_latency_non_increasing_in_node_count(balanced_spec):
                  ("c2", MB, 8.0, 0.0, (2, 0))],
                 [("p", "c1", 0.0, 1e12), ("c1", "c2", 0.0, 1e12)])
     xs = [rand_tensor((8, 1, 1), i) for i in range(8)]
-    one = simulation.simulate_on_device(net, "p", model, xs)
+    one = on_device(net, "p", model, xs)
     two = simulation.simulate_inference(
         net, partitioning.Placement([("p", (0, 3)), ("c1", (3, 5))], [], "p"),
         model, xs)
@@ -337,10 +339,9 @@ def test_invalid_placement_rejected(tiny_spec):
 def test_speedup_identity_and_guard(tiny_spec):
     model = cnn.build_model(tiny_spec, 1)
     net = fleet([("p", 10 * MB, 1e3, 0.0, (0, 0))], [])
-    report = simulation.simulate_on_device(net, "p", model,
-                                           [rand_tensor((6, 6, 1), 0)])
+    report = on_device(net, "p", model, [rand_tensor((6, 6, 1), 0)])
     assert simulation.speedup(report, report) == 1.0
-    empty = simulation.simulate_on_device(net, "p", model, [])
+    empty = on_device(net, "p", model, [])
     assert simulation.speedup(report, empty) == float("inf")
     assert simulation.speedup(empty, empty) == 1.0
 
@@ -366,8 +367,7 @@ def test_resource_report_parent_exceeds_children(tiny_spec):
 def test_single_node_bytes_equal_model_estimate(tiny_spec):
     model = cnn.build_model(tiny_spec, 5)
     net = fleet([("p", 10 * MB, 1e3, 0.0, (0, 0))], [])
-    report = simulation.simulate_on_device(net, "p", model,
-                                           [rand_tensor((6, 6, 1), 0)])
+    report = on_device(net, "p", model, [rand_tensor((6, 6, 1), 0)])
     assert report.per_node["p"].bytes_consumed == resources.model_bytes(tiny_spec)
 
 
