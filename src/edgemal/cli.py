@@ -314,7 +314,10 @@ def _build_placement(scenario, spec, nodes_arg,
 def cmd_partition(args) -> int:
     scenario = _load(args.scenario, partitioning.scenario_from_json)
     spec = _load_spec(args.model)
-    placement = _build_placement(scenario, spec, args.nodes, _scale(args))
+    bytes_per_param = _scale(args)
+    placement = _build_placement(scenario, spec, args.nodes, bytes_per_param)
+    # `simulate`'s placement check: write no placement that it would reject
+    simulation.schedule(scenario, placement, spec, 0, bytes_per_param=bytes_per_param)
     _atomic_write_text(Path(args.out),
                        _dump_json(partitioning.placement_to_json(placement)))
     ranges = ", ".join(f"{nid}:[{lo}..{hi - 1}]"
@@ -356,8 +359,8 @@ def cmd_simulate(args) -> int:
     baseline = _load(args.baseline, _latency_of) if args.baseline else None
 
     # schedule every scenario before running any layer, so a bad scenario
-    # fails first; the outputs do not depend on the scenario, so one run of
-    # the stages serves every report
+    # fails first; the outputs are `forward`'s whatever the scenario, so one
+    # forward per input serves every report
     bytes_per_param = _scale(args)
     reports = []
     for scenario in scenarios:
@@ -366,7 +369,7 @@ def cmd_simulate(args) -> int:
         reports.append(simulation.schedule(scenario, placed, model.spec,
                                            len(images), faults,
                                            bytes_per_param=bytes_per_param))
-    outputs = simulation.run_stages(model, placed, images)
+    outputs = [cnn.forward(model, x).array for x in images]
     for report in reports:
         report.outputs = outputs
         report.input_labels = labels
@@ -386,9 +389,9 @@ def cmd_simulate(args) -> int:
         if args.event_log:
             _atomic_write(Path(args.event_log),
                           partial(simulation.write_event_log, report))
-        _info(args, f"{path.stem + ': ' if many else ''}latency "
+        _info(args, f"{path.stem + ': ' if many else ''}total_latency_max_sec "
                     f"{report.total_latency_max_sec:.6f} s, "
-                    f"faults handled {report.faults_handled}")
+                    f"faults_handled {report.faults_handled}")
     return EXIT_OK
 
 
@@ -433,9 +436,9 @@ def classification_metrics(predictions: list[int], labels: list[int],
     }
 
 
-def _summarize_report(doc, manifest, baseline) -> tuple[dict, list[str]]:
+def _summarize_report(doc, manifest) -> tuple[dict, list[str]]:
     """The metrics JSON and the printed lines of `report` for a report JSON;
-    `manifest` (class names, samples) and `baseline` are parsed or None."""
+    `manifest` (class names, samples) is parsed or None."""
     predictions = doc.get("predictions", [])
     labels = doc.get("input_labels")
     class_names = None
@@ -459,23 +462,20 @@ def _summarize_report(doc, manifest, baseline) -> tuple[dict, list[str]]:
         "total_latency_pipeline_sec": doc["total_latency_pipeline_sec"],
         "faults_handled": doc.get("faults_handled", 0),
     }
-    if "makespan_sec" in doc:
-        result["makespan_sec"] = doc["makespan_sec"]
-    if baseline is not None:
-        result["speedup_vs_baseline"] = simulation.speedup(baseline, _latency_of(doc))
-    elif "speedup_vs_baseline" in doc:
-        result["speedup_vs_baseline"] = doc["speedup_vs_baseline"]
+    for key in ("makespan_sec", "speedup_vs_baseline"):
+        if key in doc:
+            result[key] = doc[key]
 
     lines = [f"samples          {metrics['samples']}",
              f"accuracy         {_ratio_text(metrics['accuracy'])}",
              f"macro F1         {_ratio_text(metrics['macro_f1'])}",
-             f"macro recall     {_ratio_text(metrics['macro_recall'])}",
-             f"latency (max)    {doc['total_latency_max_sec']:.6f} s",
-             f"latency (1-shot) {doc['total_latency_pipeline_sec']:.6f} s"]
-    if "makespan_sec" in result:
-        lines.append(f"makespan         {result['makespan_sec']:.6f} s")
+             f"macro recall     {_ratio_text(metrics['macro_recall'])}"]
+    for key in ("total_latency_max_sec", "total_latency_pipeline_sec",
+                "makespan_sec"):
+        if key in result:
+            lines.append(f"{key:<27}{result[key]:.6f} s")
     if "speedup_vs_baseline" in result:
-        lines.append(f"speedup          {result['speedup_vs_baseline']:.4f}x")
+        lines.append(f"{'speedup_vs_baseline':<27}{result['speedup_vs_baseline']:.4f}x")
     lines.append("node               bytes        busy_sec    layers")
     for nid in sorted(doc["per_node"],
                       key=lambda n: (n != doc["parent_id"], n)):
@@ -487,8 +487,7 @@ def _summarize_report(doc, manifest, baseline) -> tuple[dict, list[str]]:
 
 def cmd_report(args) -> int:
     manifest = _load(args.manifest, _manifest_from_json) if args.manifest else None
-    baseline = _load(args.baseline, _latency_of) if args.baseline else None
-    result, lines = _load(args.report, _summarize_report, manifest, baseline)
+    result, lines = _load(args.report, _summarize_report, manifest)
     print("\n".join(lines))
     if args.out:
         _atomic_write_text(Path(args.out), _dump_json(result))
@@ -615,9 +614,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fleet scenario JSON (several run in sequence)")
     p.add_argument("--weights", required=True, help="weights JSON")
     p.add_argument("--corpus", required=True, help="corpus directory")
-    p.add_argument("--placement", help="placement JSON (default: auto-partition)")
-    p.add_argument("--nodes", type=_node_count,
-                   help="'parent-only' or a node count to force")
+    placed = p.add_mutually_exclusive_group()
+    placed.add_argument("--placement", help="placement JSON (default: auto-partition)")
+    placed.add_argument("--nodes", type=_node_count,
+                        help="'parent-only' or a node count to force")
     p.add_argument("--limit", type=_int_at_least(0), default=0,
                    help="use only the first N corpus samples")
     p.add_argument("--faults", help="fault schedule JSON")
@@ -630,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", parents=[common], help="metrics and tables from a run report")
     p.add_argument("--report", required=True, help="simulation report JSON")
     p.add_argument("--manifest", help="corpus manifest for label lookup")
-    p.add_argument("--baseline", help="baseline report JSON for speedup")
     p.add_argument("--out", help="metrics JSON")
     p.set_defaults(func=cmd_report)
     return parser

@@ -194,20 +194,10 @@ def select_nodes(network: NetworkScenario, parent_id: str, radius_r: float,
     return chosen
 
 
-def _normalize_budgets(nodes) -> list[tuple[str, int]]:
-    out = []
-    for entry in nodes:
-        if isinstance(entry, NodeProfile):
-            out.append((entry.id, entry.mem_free_bytes))
-        else:
-            node_id, free = entry
-            out.append((str(node_id), int(free)))
-    return out
-
-
-def partition_layers(spec: cnn.ModelSpec, nodes, *,
+def partition_layers(spec: cnn.ModelSpec, nodes: list[NodeProfile], *,
                      bytes_per_param: int = resources.KB) -> Placement:
-    """Assign contiguous layer ranges front to back.
+    """Assign contiguous layer ranges front to back, in the order of `nodes`;
+    the first node is the parent.
 
     Each node takes the longest prefix of the remaining layers whose
     cumulative bytes fit its free memory, trimmed so every later node can
@@ -215,41 +205,42 @@ def partition_layers(spec: cnn.ModelSpec, nodes, *,
     the next layer is skipped when some later node can hold it; when no
     remaining node can, the partition is infeasible.
     """
-    budgets = _normalize_budgets(nodes)
-    if not budgets:
+    if not nodes:
         raise InfeasiblePartition("no nodes given")
     per_layer = resources.layer_bytes(spec, bytes_per_param=bytes_per_param)
     total = sum(per_layer)
-    if sum(free for _, free in budgets) < total:
+    if sum(node.mem_free_bytes for node in nodes) < total:
         raise InfeasiblePartition(
             f"combined free bytes < model bytes ({total})")
 
     n_layers = len(per_layer)
     assignments: list[tuple[str, tuple[int, int]]] = []
     start = 0
-    for j, (node_id, free) in enumerate(budgets):
+    for j, node in enumerate(nodes):
         if start == n_layers:
             break
-        nodes_after = len(budgets) - j - 1
+        nodes_after = len(nodes) - j - 1
         take = 0
         acc = 0
-        while start + take < n_layers and acc + per_layer[start + take] <= free:
+        while (start + take < n_layers
+               and acc + per_layer[start + take] <= node.mem_free_bytes):
             acc += per_layer[start + take]
             take += 1
         take = min(take, max(n_layers - start - nodes_after, 1))
         if take == 0:
-            if any(per_layer[start] <= other for _, other in budgets[j + 1:]):
+            if any(per_layer[start] <= other.mem_free_bytes
+                   for other in nodes[j + 1:]):
                 continue
             raise InfeasiblePartition(
                 f"layer {start} ({per_layer[start]} bytes) exceeds every"
                 " remaining node's free memory")
-        assignments.append((node_id, (start, start + take)))
+        assignments.append((node.id, (start, start + take)))
         start += take
     if start < n_layers:
         raise InfeasiblePartition(
             f"layers {start}..{n_layers - 1} left unassigned after the last node")
 
-    placement = Placement(assignments, [], budgets[0][0])
+    placement = Placement(assignments, [], nodes[0].id)
     placement.cut_bytes = cut_bytes(spec, placement)
     return placement
 
@@ -265,12 +256,6 @@ def cut_bytes(spec: cnn.ModelSpec, placement: Placement) -> list[int]:
             elements *= extent
         out.append(elements * ACTIVATION_BYTES)
     return out
-
-
-def single_node_placement(spec: cnn.ModelSpec, node_id: str) -> Placement:
-    """All layers on one node: the on-device reference run's placement."""
-    n_layers = len(cnn.resolve_spec(spec).layers)
-    return Placement([(node_id, (0, n_layers))], [], node_id)
 
 
 def validate_placement(placement: Placement, network: NetworkScenario,

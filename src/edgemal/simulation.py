@@ -1,16 +1,14 @@
 """Logical-time simulation of distributed inference over an IoT fleet.
 
-The simulation has two halves. `schedule` is the cost model: it validates
-the placement and the fault schedule, picks each stage's executor, and times
-compute and transfers (per-stage compute cost from the flop counter, transfer
-cost from link latency plus payload over bandwidth, pipelined input
-streaming: a stage starts the next input as soon as it is free). It reads no
-weights and runs no layer. `run_stages` is the execution: it runs each
-stage's layer range through the real layer kernels, so distributed outputs
-are bit-identical to a single-node forward pass by construction. Outputs
-depend on neither the placement nor the faults, so one execution serves
-every schedule of the same inputs; `simulate_inference` composes the two for
-one scenario.
+`schedule` is the cost model: it validates the placement and the fault
+schedule, picks each stage's executor, and times compute and transfers
+(per-stage compute cost from the flop counter, transfer cost from link
+latency plus payload over bandwidth, pipelined input streaming: a stage
+starts the next input as soon as it is free). It reads no weights and runs
+no layer. The placement and the faults decide only timing and memory: the
+stages together apply every layer, in order, through the same kernels as
+`cnn.forward`, so a distributed run's outputs are `forward`'s outputs.
+`simulate_inference` pairs one scenario's schedule with them.
 
 Fault model: when a child node is offline at the moment it would start a
 stage, the parent executes that stage from its full parameter replica. The
@@ -105,30 +103,16 @@ def simulate_inference(scenario: NetworkScenario, placement: Placement,
                        model: cnn.Model, inputs: list[Tensor],
                        faults: list[FaultEvent] = ()) -> SimReport:
     """Run placed inference with pipelined inputs and fault takeover: the
-    `schedule` of `inputs` with the outputs of `run_stages`.
+    `schedule` of `inputs`, with each input's `cnn.forward` output.
 
-    Outputs are exact regardless of faults: a failed stage runs on the parent
-    from its replica, with the stage's compute charged to the parent at the
-    parent's effective speed. Memory is checked at the default bytes per
-    parameter; `schedule` takes another.
+    Outputs are exact regardless of placement and faults: a failed stage runs
+    on the parent from its replica, with the stage's compute charged to the
+    parent at the parent's effective speed. Memory is checked at the default
+    bytes per parameter; `schedule` takes another.
     """
     report = schedule(scenario, placement, model.spec, len(inputs), faults)
-    report.outputs = run_stages(model, placement, inputs)
+    report.outputs = [cnn.forward(model, x).array for x in inputs]
     return report
-
-
-def run_stages(model: cnn.Model, placement: Placement,
-               inputs: list[Tensor]) -> list[np.ndarray]:
-    """Each input's output after every stage of `placement` has run its layer
-    range through `cnn.layer_forward`; bit-identical to `cnn.forward`."""
-    layers = model.spec.layers
-    outputs = []
-    for act in inputs:
-        for _, (lo, hi) in placement.assignments:
-            for i in range(lo, hi):
-                act = cnn.layer_forward(layers[i], model.weights.get(i), act)
-        outputs.append(act.array)
-    return outputs
 
 
 def schedule(scenario: NetworkScenario, placement: Placement, spec: cnn.ModelSpec,

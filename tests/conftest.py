@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgemal import cnn
+from edgemal import cnn, partitioning
 from edgemal.cli import data_path
 from edgemal.rng import SplitMix64
 
@@ -30,6 +30,12 @@ def rand_tensor(shape, seed, lo=0.0, hi=1.0) -> cnn.Tensor:
     """Deterministic test input: SplitMix64 uniforms in row-major order."""
     draws = SplitMix64(seed).uniforms(int(np.prod(shape)), lo, hi)
     return cnn.Tensor(draws.astype(np.float32).reshape(shape))
+
+
+def node_profiles(budgets) -> list[partitioning.NodeProfile]:
+    """Nodes for `partition_layers` from (node id, free bytes) pairs; it reads
+    nothing else of a node."""
+    return [partitioning.NodeProfile(node_id, free, 1.0) for node_id, free in budgets]
 
 
 def read_json(path):

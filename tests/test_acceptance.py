@@ -13,7 +13,7 @@ from edgemal.cli import data_path
 from edgemal.errors import InfeasiblePartition, InsufficientResources
 from edgemal.rng import SplitMix64
 
-from conftest import rand_tensor, read_json
+from conftest import node_profiles, rand_tensor, read_json
 
 MB = 1024 * 1024
 
@@ -71,8 +71,7 @@ def _random_sim_case(seed: int):
                 a, b, rng.uniform(0.0, 0.1), 10.0 ** (3 + rng.randint(4))))
     net = partitioning.NetworkScenario(node_specs, links, 100.0, "p")
     try:
-        placement = partitioning.partition_layers(
-            spec, [(n.id, n.mem_free_bytes) for n in node_specs])
+        placement = partitioning.partition_layers(spec, node_specs)
     except InfeasiblePartition:
         return None
     model = cnn.build_model(spec, seed)
@@ -243,9 +242,11 @@ def _reference_runs(default_spec):
         read_json(data_path("scenarios", "reference_fleet.json")))
     model = cnn.build_model(default_spec, 42)
     x = rand_tensor((32, 32, 1), 0, -128.0, 127.0)
+    # the on-device run, built as `--nodes parent-only` builds it
+    solo = partitioning.select_nodes(scenario, scenario.parent_id, scenario.radius_r,
+                                     resources.model_bytes(default_spec), 1)
     base = simulation.simulate_inference(
-        scenario, partitioning.single_node_placement(default_spec, scenario.parent_id),
-        model, [x])
+        scenario, partitioning.partition_layers(default_spec, solo), model, [x])
     runs = [(1, base)]
     for k in (2, 3, 4):
         placement = partitioning.placement_from_json(
@@ -311,8 +312,9 @@ def test_criterion_8_resource_report_shape(default_spec):
         [partitioning.NodeProfile("solo", 8 * MB, 1e6, 0.0, (0.0, 0.0))],
         [], 10.0, "solo")
     solo_model = cnn.build_model(four_mb_spec, 0)
+    solo_nodes = partitioning.select_nodes(solo, "solo", solo.radius_r, estimate, 1)
     solo_report = simulation.simulate_inference(
-        solo, partitioning.single_node_placement(four_mb_spec, "solo"), solo_model,
+        solo, partitioning.partition_layers(four_mb_spec, solo_nodes), solo_model,
         [rand_tensor((511, 1, 1), 2)])
     exact = solo_report.per_node["solo"].bytes_consumed == estimate
     _report(8, "resource-report shape", shape_ok and exact,
@@ -375,7 +377,7 @@ def test_criterion_10_fault_resilience():
         spec = resources.sample_model_spec(rng)
         per = resources.layer_bytes(spec)
         split = 1 + rng.randint(len(per) - 1)
-        budgets = [("p", sum(per[:split])), ("c", sum(per[split:]))]
+        budgets = node_profiles([("p", sum(per[:split])), ("c", sum(per[split:]))])
         placement = partitioning.partition_layers(spec, budgets)
         nodes = [
             partitioning.NodeProfile("p", sum(per), 10.0 ** (2 + rng.randint(3)),

@@ -17,7 +17,6 @@ LIBRARY_ONLY = (
     ("corpus_images", "the in-memory corpus of acceptance criterion 6"),
     ("scenario_to_json", "write half of the fleet scenario format the CLI reads"),
     ("resource_report", "the per-node table of acceptance criterion 8"),
-    ("single_node_placement", "the on-device reference of acceptance criteria 7 and 8"),
 )
 
 # Defaulted parameters of public functions that no call in src/ or perfbench/

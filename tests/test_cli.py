@@ -139,6 +139,16 @@ def test_estimate_verdict_fields(tmp_path, capsys):
     assert json.loads(out.read_text())["verdict"] == "Offload"
 
 
+def test_estimate_saved_regressor_round_trip(tmp_path):
+    fitted, loaded, regressor = (tmp_path / name for name in
+                                 ("fitted.json", "loaded.json", "r.json"))
+    assert run("--quiet", "estimate", "--node-free", 3_000_000,
+               "--save-regressor", regressor, "--out", fitted) == 0
+    assert run("--quiet", "estimate", "--node-free", 3_000_000,
+               "--regressor", regressor, "--out", loaded) == 0
+    assert loaded.read_bytes() == fitted.read_bytes()
+
+
 def test_partition_and_simulate_demo(small_corpus, tiny_weights, tmp_path):
     scenario = cli.data_path("scenarios", "demo_fleet.json")
     placement = tmp_path / "placement.json"
@@ -282,8 +292,8 @@ def test_report_prints_makespan(small_corpus, tiny_weights, tmp_path, capsys):
                "--placement", placement, "--limit", 1, "--out", report) == 0
     assert run("report", "--report", report, "--out", metrics) == 0
     printed = capsys.readouterr().out
-    assert "latency (max)    10.011152 s" in printed
-    assert "makespan         27.675160 s" in printed
+    assert "total_latency_max_sec      10.011152 s" in printed
+    assert "makespan_sec               27.675160 s" in printed
     doc = json.loads(report.read_text())
     assert json.loads(metrics.read_text())["makespan_sec"] == doc["makespan_sec"]
 
@@ -312,8 +322,7 @@ def test_baseline_speedup_is_simulation_speedup(small_corpus, tiny_weights,
                "--nodes", "parent-only", "--out", solo) == 0
     assert run("--quiet", "simulate", "--scenario", reference, *common,
                "--placement", placement, "--baseline", solo, "--out", dist) == 0
-    assert run("--quiet", "report", "--report", dist, "--baseline", solo,
-               "--out", metrics) == 0
+    assert run("--quiet", "report", "--report", dist, "--out", metrics) == 0
     base = json.loads(solo.read_text())
     doc = json.loads(dist.read_text())
     expected = simulation.speedup(
@@ -322,18 +331,6 @@ def test_baseline_speedup_is_simulation_speedup(small_corpus, tiny_weights,
     assert expected > 1.0
     assert doc["speedup_vs_baseline"] == expected
     assert json.loads(metrics.read_text())["speedup_vs_baseline"] == expected
-
-
-def test_report_zero_latency_speedup_is_one(tmp_path):
-    doc = {"parent_id": "p", "total_latency_max_sec": 0.0,
-           "total_latency_pipeline_sec": 0.0, "per_node": {}, "outputs": [],
-           "predictions": [], "input_labels": []}
-    path = tmp_path / "r.json"
-    path.write_text(json.dumps(doc))
-    out = tmp_path / "metrics.json"
-    assert run("--quiet", "report", "--report", path, "--baseline", path,
-               "--out", out) == 0
-    assert json.loads(out.read_text())["speedup_vs_baseline"] == 1.0
 
 
 def test_simulate_faults_flag(small_corpus, tiny_weights, tmp_path):
@@ -381,6 +378,18 @@ def _offline_parent(inputs: Path) -> Path:
     return path
 
 
+def _star(inputs: Path) -> Path:
+    """The reference fleet without its child-child links, 4.4 MB per node:
+    node selection picks p0, c1 and c2, and no link joins c1 to c2."""
+    doc = read_json(cli.data_path("scenarios", "reference_fleet.json"))
+    doc["links"] = [link for link in doc["links"] if "p0" in (link["a"], link["b"])]
+    for node in doc["nodes"]:
+        node["mem_free_bytes"] = 4_400_000
+    path = inputs / "star.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def _same_stem(inputs: Path) -> list[Path]:
     """Two scenario files, a/fleet.json and b/fleet.json, of one stem."""
     paths = []
@@ -400,6 +409,14 @@ def _same_stem(inputs: Path) -> list[Path]:
         ["partition", "--scenario", _offline_parent(inputs), "--out", out / "p.json"],
         3, "error: parent 'p0' is offline"), id="auto-partition-offline-parent"),
     pytest.param(lambda inputs, out: (
+        ["partition", "--scenario", _offline_parent(inputs), "--nodes", 2,
+         "--out", out / "p.json"], 3, "error: NodeOffline: node 'p0' is offline"),
+        id="two-nodes-offline-parent"),
+    pytest.param(lambda inputs, out: (
+        ["partition", "--scenario", _star(inputs), "--out", out / "p.json"], 3,
+        "error: MissingLink: no link between consecutive nodes 'c1' and 'c2'"),
+        id="auto-partition-missing-link"),
+    pytest.param(lambda inputs, out: (
         ["simulate", "--scenario", *_same_stem(inputs), "--nodes", 3,
          "--out", out / "reports"], 2, "error: --scenario files must have distinct"),
         id="simulate-duplicate-stems"),
@@ -412,12 +429,13 @@ def test_failing_command_writes_nothing(case, small_corpus, tiny_weights, tmp_pa
     out.mkdir()
     argv, code, error = case(inputs, out)
     if argv[0] == "simulate":
+        # simulate fails before it schedules; partition's last check is one
         argv += ["--weights", tiny_weights, "--corpus", small_corpus, "--limit", 2]
 
-    def no_schedule(*args, **kwargs):
-        raise AssertionError("a schedule ran")
+        def no_schedule(*args, **kwargs):
+            raise AssertionError("a schedule ran")
 
-    monkeypatch.setattr(simulation, "schedule", no_schedule)
+        monkeypatch.setattr(simulation, "schedule", no_schedule)
     assert run("--quiet", *argv) == code
     err = capsys.readouterr().err
     assert err.startswith(error)
@@ -571,19 +589,6 @@ def test_simulate_baseline_without_latency_exits_2(small_corpus, tiny_weights,
         "--placement", cli.data_path("scenarios", "reference_fleet_nodes2.json"),
         "--weights", tiny_weights, "--corpus", small_corpus, "--limit", 2,
         "--baseline", baseline, "--out", out)
-
-
-def test_report_baseline_without_latency_exits_2(tmp_path, capsys):
-    doc = {"parent_id": "p", "total_latency_max_sec": 1.0,
-           "total_latency_pipeline_sec": 1.0, "per_node": {}, "outputs": [],
-           "predictions": [], "input_labels": []}
-    report = tmp_path / "r.json"
-    report.write_text(json.dumps(doc))
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text("{}")
-    out = tmp_path / "metrics.json"
-    _assert_config_error(capsys, out, "report", "--report", report,
-                         "--baseline", baseline, "--out", out)
 
 
 def test_manifest_image_missing_exits_2(small_corpus, tiny_weights, tmp_path,
@@ -771,6 +776,11 @@ def test_malformed_input_exits_2(target, mutate, command, small_corpus,
                  id="node-free-negative"),
     pytest.param(["simulate", "--scenario", "fleet.json", "--weights", "w.json",
                   "--corpus", "corpus", "--limit", -3], "--limit", id="limit-negative"),
+    pytest.param(["simulate", "--scenario", "fleet.json", "--weights", "w.json",
+                  "--corpus", "corpus", "--placement", "p.json", "--nodes", 2],
+                 "--nodes", id="placement-with-nodes"),
+    pytest.param(["report", "--report", "r.json", "--baseline", "b.json"],
+                 "--baseline", id="report-baseline"),
 ])
 def test_flag_out_of_range_exits_2(argv, flag, tmp_path, capsys):
     try:

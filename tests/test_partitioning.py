@@ -7,6 +7,8 @@ from edgemal import cnn, partitioning, resources
 from edgemal.errors import InfeasiblePartition, InsufficientResources, NoRoute
 from edgemal.rng import SplitMix64
 
+from conftest import node_profiles
+
 MB = 1024 * 1024
 
 
@@ -127,15 +129,16 @@ def test_minimal_prefix_matches_brute_force():
 # --- partition_layers ---
 
 def test_single_node_gets_everything(default_spec):
-    placement = partitioning.partition_layers(default_spec, [("solo", 10 * MB)])
+    placement = partitioning.partition_layers(
+        default_spec, node_profiles([("solo", 10 * MB)]))
     assert placement.assignments == [("solo", (0, 11))]
     assert placement.cut_bytes == []
 
 
 def test_two_equal_nodes_split(default_spec):
     free = 5 * MB
-    placement = partitioning.partition_layers(default_spec,
-                                              [("n1", free), ("n2", free)])
+    placement = partitioning.partition_layers(
+        default_spec, node_profiles([("n1", free), ("n2", free)]))
     assert len(placement.assignments) == 2
     per = resources.layer_bytes(default_spec)
     (id1, (lo1, hi1)), (id2, (lo2, hi2)) = placement.assignments
@@ -148,7 +151,7 @@ def test_two_equal_nodes_split(default_spec):
 
 def test_every_node_gets_a_layer_when_memory_is_plentiful(default_spec):
     placement = partitioning.partition_layers(
-        default_spec, [("a", 10 ** 9), ("b", 10 ** 9), ("c", 10 ** 9)])
+        default_spec, node_profiles([("a", 10 ** 9), ("b", 10 ** 9), ("c", 10 ** 9)]))
     assert [nid for nid, _ in placement.assignments] == ["a", "b", "c"]
     assert all(hi > lo for _, (lo, hi) in placement.assignments)
 
@@ -156,13 +159,14 @@ def test_every_node_gets_a_layer_when_memory_is_plentiful(default_spec):
 def test_oversized_layer_infeasible(default_spec):
     # the big dense layer exceeds every node
     with pytest.raises(InfeasiblePartition):
-        partitioning.partition_layers(default_spec,
-                                      [("a", 3 * MB), ("b", 3 * MB), ("c", 3 * MB)])
+        partitioning.partition_layers(
+            default_spec, node_profiles([("a", 3 * MB), ("b", 3 * MB), ("c", 3 * MB)]))
 
 
 def test_combined_shortfall_infeasible(default_spec):
     with pytest.raises(InfeasiblePartition):
-        partitioning.partition_layers(default_spec, [("a", MB), ("b", MB)])
+        partitioning.partition_layers(default_spec,
+                                      node_profiles([("a", MB), ("b", MB)]))
 
 
 def test_partition_properties_random(default_spec):
@@ -176,7 +180,7 @@ def test_partition_properties_random(default_spec):
         budgets = [("n%d" % i, rng.randint(total + 1) + max(per))
                    for i in range(n_nodes)]
         try:
-            placement = partitioning.partition_layers(spec, budgets)
+            placement = partitioning.partition_layers(spec, node_profiles(budgets))
         except InfeasiblePartition:
             continue
         successes += 1
@@ -187,7 +191,7 @@ def test_partition_properties_random(default_spec):
             covered.extend(range(lo, hi))
             assert sum(per[lo:hi]) <= frees[nid]
         assert covered == list(range(len(per)))
-        again = partitioning.partition_layers(spec, budgets)
+        again = partitioning.partition_layers(spec, node_profiles(budgets))
         assert again.assignments == placement.assignments
     assert successes >= 250
 
@@ -215,7 +219,7 @@ def test_cut_bytes_examples():
 
 
 def test_single_node_placement_has_no_cuts(default_spec):
-    placement = partitioning.single_node_placement(default_spec, "p")
+    placement = partitioning.Placement([("p", (0, 11))], [], "p")
     assert partitioning.cut_bytes(default_spec, placement) == []
 
 
@@ -224,8 +228,8 @@ def test_greedy_cut_is_a_valid_two_way_split(default_spec):
     per = resources.layer_bytes(default_spec)
     shapes = cnn.layer_output_shapes(default_spec)
     all_cuts = {int(np.prod(shapes[b - 1])) * 4 for b in range(1, len(per))}
-    placement = partitioning.partition_layers(default_spec,
-                                              [("n1", 5 * MB), ("n2", 5 * MB)])
+    placement = partitioning.partition_layers(
+        default_spec, node_profiles([("n1", 5 * MB), ("n2", 5 * MB)]))
     assert placement.cut_bytes[0] in all_cuts
 
 
@@ -233,8 +237,7 @@ def test_greedy_cut_is_a_valid_two_way_split(default_spec):
 
 def test_validate_accepts_partition_output(default_spec):
     net = star_network(5 * MB, [5 * MB])
-    placement = partitioning.partition_layers(
-        default_spec, [("p", 5 * MB), ("c0", 5 * MB)])
+    placement = partitioning.partition_layers(default_spec, net.nodes)
     assert partitioning.validate_placement(placement, net, default_spec) == []
 
 
@@ -302,8 +305,8 @@ def test_scenario_round_trip():
 
 
 def test_placement_round_trip(default_spec):
-    placement = partitioning.partition_layers(default_spec,
-                                              [("n1", 5 * MB), ("n2", 5 * MB)])
+    placement = partitioning.partition_layers(
+        default_spec, node_profiles([("n1", 5 * MB), ("n2", 5 * MB)]))
     back = partitioning.placement_from_json(
         json.loads(json.dumps(partitioning.placement_to_json(placement))))
     assert back.assignments == placement.assignments

@@ -4,6 +4,7 @@ import pytest
 from edgemal import cnn, partitioning, resources, simulation
 from edgemal.cli import data_path
 from edgemal.errors import (
+    InfeasiblePartition,
     InsufficientResources,
     InvalidFault,
     InvalidPlacement,
@@ -25,8 +26,9 @@ def fleet(node_specs, links, parent="p", radius=100.0):
 
 def on_device(net, node_id, model, xs):
     """Whole-model inference on one node: the reference run for speedup."""
-    return simulation.simulate_inference(
-        net, partitioning.single_node_placement(model.spec, node_id), model, xs)
+    placement = partitioning.Placement(
+        [(node_id, (0, len(model.spec.layers)))], [], node_id)
+    return simulation.simulate_inference(net, placement, model, xs)
 
 
 @pytest.fixture(scope="module")
@@ -210,9 +212,8 @@ def random_case(seed):
             links.append((a, b, rng.uniform(0.0, 0.1), 10.0 ** (3 + rng.randint(4))))
     net = fleet(node_specs, links)
     try:
-        placement = partitioning.partition_layers(
-            spec, [(nid, mem) for nid, mem, _, _, _ in node_specs])
-    except Exception:
+        placement = partitioning.partition_layers(spec, net.nodes)
+    except InfeasiblePartition:
         return None
     model = cnn.build_model(spec, seed)
     xs = [rand_tensor(spec.input_shape, seed * 31 + i, -40.0, 40.0)
@@ -229,6 +230,7 @@ def test_distributed_outputs_exact_randomized():
     checked = 0
     seed = 0
     while checked < 30:
+        assert seed < 1000, f"only {checked} feasible cases in {seed} seeds"
         case = random_case(seed)
         seed += 1
         if case is None:
@@ -304,7 +306,7 @@ def test_parent_over_capacity_warns_but_continues(tiny_spec):
 def test_fault_on_parent_rejected(tiny_spec):
     model = cnn.build_model(tiny_spec, 5)
     net = fleet([("p", 10 * MB, 1e3, 0.0, (0, 0))], [])
-    placement = partitioning.single_node_placement(tiny_spec, "p")
+    placement = partitioning.Placement([("p", (0, 6))], [], "p")
     with pytest.raises(InvalidFault):
         simulation.simulate_inference(net, placement, model, [],
                                       [simulation.FaultEvent("p", 1.0)])
@@ -395,7 +397,7 @@ def test_equal_children_consume_equal_bytes():
     assert report.per_node["c2"].bytes_consumed == per[4] + per[5]
 
 
-# --- schedule and stage execution ---
+# --- schedule ---
 
 def _takeover_case(tiny_spec):
     model = cnn.build_model(tiny_spec, 5)
@@ -438,18 +440,6 @@ def test_schedule_matches_simulate_inference(case, spec_fixture, request,
     assert timed.warnings == full.warnings
     assert timed.faults_handled == full.faults_handled
     assert full.faults_handled == len(faults)
-
-
-def test_run_stages_is_forward(tiny_spec, monkeypatch):
-    model = cnn.build_model(tiny_spec, 6)
-    placement = partitioning.Placement([("p", (0, 2)), ("c", (2, 6))], [], "p")
-    xs = [rand_tensor((6, 6, 1), i) for i in range(3)]
-    expected = [cnn.forward(model, x).array for x in xs]
-    calls = count_layer_forward(monkeypatch)
-    outputs = simulation.run_stages(model, placement, xs)
-    assert len(calls) == len(tiny_spec.layers) * len(xs)
-    for out, want in zip(outputs, expected):
-        assert np.array_equal(out, want)
 
 
 def test_makespan_reference_fleet(default_spec):
