@@ -209,7 +209,7 @@ def cmd_rank_events(args) -> int:
 def _accuracy(model: cnn.Model, images, labels) -> float | None:
     """`classification_metrics` accuracy of `model` on the samples; None
     when there are none."""
-    predictions = [int(np.argmax(cnn.forward(model, x).array)) for x in images]
+    predictions = [int(np.argmax(probs)) for probs in cnn.forward_batch(model, images)]
     class_count = max([model.spec.layers[-1].units, *(lab + 1 for lab in labels)])
     return classification_metrics(predictions, labels, class_count)["accuracy"]
 
@@ -360,7 +360,7 @@ def cmd_simulate(args) -> int:
 
     # schedule every scenario before running any layer, so a bad scenario
     # fails first; the outputs are `forward`'s whatever the scenario, so one
-    # forward per input serves every report
+    # batched pass over the inputs serves every report
     bytes_per_param = _scale(args)
     reports = []
     for scenario in scenarios:
@@ -369,7 +369,7 @@ def cmd_simulate(args) -> int:
         reports.append(simulation.schedule(scenario, placed, model.spec,
                                            len(images), faults,
                                            bytes_per_param=bytes_per_param))
-    outputs = [cnn.forward(model, x).array for x in images]
+    outputs = cnn.forward_batch(model, images)
     for report in reports:
         report.outputs = outputs
         report.input_labels = labels

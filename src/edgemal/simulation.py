@@ -8,7 +8,8 @@ starts the next input as soon as it is free). It reads no weights and runs
 no layer. The placement and the faults decide only timing and memory: the
 stages together apply every layer, in order, through the same kernels as
 `cnn.forward`, so a distributed run's outputs are `forward`'s outputs.
-`simulate_inference` pairs one scenario's schedule with them.
+`simulate_inference` pairs one scenario's schedule with them, computed in one
+`cnn.forward_batch` call, which is bit-identical to `forward` per input.
 
 Fault model: when a child node is offline at the moment it would start a
 stage, the parent executes that stage from its full parameter replica. The
@@ -103,7 +104,7 @@ def simulate_inference(scenario: NetworkScenario, placement: Placement,
                        model: cnn.Model, inputs: list[Tensor],
                        faults: list[FaultEvent] = ()) -> SimReport:
     """Run placed inference with pipelined inputs and fault takeover: the
-    `schedule` of `inputs`, with each input's `cnn.forward` output.
+    `schedule` of `inputs`, with their `cnn.forward_batch` outputs.
 
     Outputs are exact regardless of placement and faults: a failed stage runs
     on the parent from its replica, with the stage's compute charged to the
@@ -111,7 +112,7 @@ def simulate_inference(scenario: NetworkScenario, placement: Placement,
     bytes per parameter; `schedule` takes another.
     """
     report = schedule(scenario, placement, model.spec, len(inputs), faults)
-    report.outputs = [cnn.forward(model, x).array for x in inputs]
+    report.outputs = cnn.forward_batch(model, inputs)
     return report
 
 

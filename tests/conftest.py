@@ -8,6 +8,11 @@ from edgemal import cnn, partitioning
 from edgemal.cli import data_path
 from edgemal.rng import SplitMix64
 
+# input counts for random inference cases: a few inputs, and each side of
+# one and of two `cnn.forward_batch` chunks
+INPUT_COUNTS = (1, 2, 3, cnn.FORWARD_CHUNK - 1, cnn.FORWARD_CHUNK,
+                cnn.FORWARD_CHUNK + 1, 2 * cnn.FORWARD_CHUNK + 1)
+
 
 @pytest.fixture(scope="session")
 def default_spec() -> cnn.ModelSpec:
@@ -52,4 +57,17 @@ def count_layer_forward(monkeypatch) -> list:
         return original(layer, weights, x)
 
     monkeypatch.setattr(cnn, "layer_forward", counting)
+    return calls
+
+
+def count_forward_batch(monkeypatch) -> list:
+    """Records the input count of every `cnn.forward_batch` call from here on."""
+    calls = []
+    original = cnn.forward_batch
+
+    def counting(model, xs):
+        calls.append(len(xs))
+        return original(model, xs)
+
+    monkeypatch.setattr(cnn, "forward_batch", counting)
     return calls

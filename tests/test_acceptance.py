@@ -13,7 +13,7 @@ from edgemal.cli import data_path
 from edgemal.errors import InfeasiblePartition, InsufficientResources
 from edgemal.rng import SplitMix64
 
-from conftest import node_profiles, rand_tensor, read_json
+from conftest import INPUT_COUNTS, node_profiles, rand_tensor, read_json
 
 MB = 1024 * 1024
 
@@ -76,7 +76,7 @@ def _random_sim_case(seed: int):
         return None
     model = cnn.build_model(spec, seed)
     xs = [rand_tensor(spec.input_shape, seed * 977 + i, -40.0, 40.0)
-          for i in range(1 + rng.randint(3))]
+          for i in range(INPUT_COUNTS[rng.randint(len(INPUT_COUNTS))])]
     faults = []
     children = [nid for nid, _ in placement.assignments if nid != "p"]
     if children and rng.randint(2):
@@ -86,8 +86,10 @@ def _random_sim_case(seed: int):
 
 
 def test_criterion_2_distributed_inference_exactness():
+    """`simulate_inference`'s batched outputs against per-sample `forward`."""
     start = time.perf_counter()
     checked = 0
+    inputs = 0
     seed = 0
     exact = True
     while checked < 100:
@@ -100,10 +102,13 @@ def test_criterion_2_distributed_inference_exactness():
         for out, x in zip(report.outputs, xs):
             if not np.array_equal(out, cnn.forward(model, x).array):
                 exact = False
+        exact = exact and len(report.outputs) == len(xs)
         checked += 1
+        inputs += len(xs)
     elapsed = time.perf_counter() - start
     _report(2, "distributed-inference exactness", exact and elapsed < 60.0,
-            f"100 tuples bit-identical={exact} in {elapsed:.2f}s (< 60s)")
+            f"100 tuples ({inputs} inputs) bit-identical={exact} "
+            f"in {elapsed:.2f}s (< 60s)")
 
 
 # -- 3 ---------------------------------------------------------------------

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgemal import cli, cnn, features, resources, simulation
+from edgemal import cli, features, resources, simulation
 
-from conftest import count_layer_forward, read_json
+from conftest import count_forward_batch, read_json
 
 
 def run(*argv) -> int:
@@ -250,19 +250,19 @@ def test_simulate_fan_out_multiple_scenarios(small_corpus, tiny_weights,
 
 def test_simulate_runs_the_stages_once(small_corpus, tiny_weights, tmp_path,
                                        monkeypatch):
+    # one forward_batch over the inputs serves every scenario
     demo = cli.data_path("scenarios", "demo_fleet.json")
     reference = cli.data_path("scenarios", "reference_fleet.json")
-    layers = len(cnn.load_spec(cli.data_path("default_model.json")).layers)
     common = ["--weights", tiny_weights, "--corpus", small_corpus,
               "--nodes", "3", "--limit", 2]
-    calls = count_layer_forward(monkeypatch)
+    calls = count_forward_batch(monkeypatch)
     assert run("--quiet", "simulate", "--scenario", demo, reference, *common,
                "--out", tmp_path / "reports") == 0
-    assert len(calls) == 2 * layers
+    assert calls == [2]
     calls.clear()
     assert run("--quiet", "simulate", "--scenario", demo, *common,
                "--out", tmp_path / "single.json") == 0
-    assert len(calls) == 2 * layers
+    assert calls == [2]
 
 
 def test_simulate_bad_second_scenario_runs_nothing(small_corpus, tiny_weights,
@@ -272,7 +272,7 @@ def test_simulate_bad_second_scenario_runs_nothing(small_corpus, tiny_weights,
     reference = cli.data_path("scenarios", "reference_fleet.json")
     faults = tmp_path / "faults.json"
     faults.write_text(json.dumps([{"node_id": "c5", "time_sec": 1.0}]))
-    calls = count_layer_forward(monkeypatch)
+    calls = count_forward_batch(monkeypatch)
     assert run("--quiet", "simulate", "--scenario", demo, reference,
                "--weights", tiny_weights, "--corpus", small_corpus,
                "--nodes", "3", "--limit", 2, "--faults", faults,

@@ -479,6 +479,83 @@ def test_training_bits_pinned(default_spec, pin_corpus):
         "743c8f4f12843971d961cc9fb8cda12d233e7ae631d6da1316c8708b3c741307"
 
 
+# --- forward_batch ---
+
+def test_forward_batch_bits_pinned(default_spec, pin_corpus):
+    from edgemal.cli import data_path
+
+    model = cnn.weights_from_json(
+        read_json(data_path("trained", "default_weights.json")), default_spec)
+    assert len(pin_corpus[0]) > cnn.FORWARD_CHUNK
+    digest = hashlib.sha256()
+    for probs in cnn.forward_batch(model, pin_corpus[0]):
+        digest.update(probs.tobytes())
+    assert digest.hexdigest() == \
+        "38d28bd0af4da6f2983fe1fddd6222824666b7474029e2d4a07d0bf4f7d486c2"
+
+
+@pytest.mark.parametrize("count", [1, cnn.FORWARD_CHUNK - 1, cnn.FORWARD_CHUNK,
+                                   cnn.FORWARD_CHUNK + 1, 2 * cnn.FORWARD_CHUNK + 1])
+def test_forward_batch_equals_forward(default_spec, tiny_spec, count):
+    """Also: rows of the first chunk keep their bits while later chunks reuse
+    the work buffers."""
+    for spec, seed in ((default_spec, 3), (tiny_spec, 4)):
+        model = cnn.build_model(spec, seed)
+        xs = [rand_tensor(spec.input_shape, seed * 100 + i, -1e3, 1e3)
+              for i in range(count)]
+        got = cnn.forward_batch(model, xs)
+        assert len(got) == count
+        for out, x in zip(got, xs):
+            _assert_same_bits(out, cnn.forward(model, x).array)
+        assert not any(np.shares_memory(a, b) for a, b in zip(got, got[1:]))
+
+
+def test_forward_batch_empty(tiny_spec):
+    assert cnn.forward_batch(cnn.build_model(tiny_spec, 0), []) == []
+
+
+def test_forward_batch_rejects_wrong_shape(tiny_spec):
+    model = cnn.build_model(tiny_spec, 0)
+    xs = [rand_tensor((6, 6, 1), i) for i in range(3)] + [rand_tensor((6, 5, 1), 3)]
+    with pytest.raises(ShapeMismatch):
+        cnn.forward_batch(model, xs)
+
+
+def test_forward_batch_dense_overflow_rejected():
+    """The overflow of test_dense_overflow_to_inf_rejected, as the third input
+    of a chunk whose other inputs stay finite."""
+    model = cnn.build_model(cnn.ModelSpec((1, 2, 1), (
+        cnn.LayerSpec("Input"),
+        cnn.LayerSpec("Flatten"),
+        cnn.LayerSpec("Dense", units=1),
+        cnn.LayerSpec("Softmax", units=2),
+    )), 0)
+    model.weights[2] = cnn.LayerWeights(
+        cnn.Tensor(np.full((2, 1), 3e38, dtype=np.float32)),
+        cnn.Tensor(np.zeros(1, dtype=np.float32)))
+    xs = [cnn.Tensor(np.zeros((1, 2, 1), dtype=np.float32)) for _ in range(5)]
+    assert len(cnn.forward_batch(model, xs)) == 5
+    xs[2] = cnn.Tensor(np.ones((1, 2, 1), dtype=np.float32))
+    with np.errstate(over="ignore"), pytest.raises(ShapeMismatch):
+        cnn.forward_batch(model, xs)
+
+
+def test_forward_batch_missing_weight(tiny_spec):
+    model = cnn.build_model(tiny_spec, 0)
+    del model.weights[4]
+    with pytest.raises(ShapeMismatch):
+        cnn.forward_batch(model, [rand_tensor((6, 6, 1), 0)])
+
+
+def test_forward_batch_writes_no_input(default_spec):
+    model = cnn.build_model(default_spec, 42)
+    xs = [rand_tensor(default_spec.input_shape, 42 + i) for i in range(3)]
+    saved = [x.array.copy() for x in xs]
+    cnn.forward_batch(model, xs)
+    for x, before in zip(xs, saved):
+        _assert_same_bits(x.array, before)
+
+
 # --- flop counting ---
 
 def test_layer_flops_examples(default_spec):

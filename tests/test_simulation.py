@@ -12,7 +12,7 @@ from edgemal.errors import (
 )
 from edgemal.rng import SplitMix64
 
-from conftest import count_layer_forward, rand_tensor, read_json
+from conftest import INPUT_COUNTS, count_layer_forward, rand_tensor, read_json
 
 MB = 1024 * 1024
 
@@ -217,7 +217,7 @@ def random_case(seed):
         return None
     model = cnn.build_model(spec, seed)
     xs = [rand_tensor(spec.input_shape, seed * 31 + i, -40.0, 40.0)
-          for i in range(1 + rng.randint(3))]
+          for i in range(INPUT_COUNTS[rng.randint(len(INPUT_COUNTS))])]
     faults = []
     children = [nid for nid, _ in placement.assignments if nid != "p"]
     if children and rng.randint(2):
@@ -227,6 +227,8 @@ def random_case(seed):
 
 
 def test_distributed_outputs_exact_randomized():
+    """`simulate_inference`'s batched outputs against per-sample `forward`,
+    on random models, placements, faults and input counts."""
     checked = 0
     seed = 0
     while checked < 30:
@@ -237,6 +239,7 @@ def test_distributed_outputs_exact_randomized():
             continue
         net, placement, model, xs, faults = case
         report = simulation.simulate_inference(net, placement, model, xs, faults)
+        assert len(report.outputs) == len(xs)
         for out, x in zip(report.outputs, xs):
             assert np.array_equal(out, cnn.forward(model, x).array)
         checked += 1
