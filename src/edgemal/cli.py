@@ -31,6 +31,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 
+_DEFAULT_SEED = 42
 _REGRESSOR_TRAIN_SAMPLES = 600
 
 
@@ -45,36 +46,57 @@ def data_path(*parts: str) -> Path:
 
 def _atomic_write(path: Path, write) -> None:
     """Produce `path` through `write(fd)`, then rename; a failed write
-    removes the temporary file.
+    removes the temporary file."""
+    _atomic_write_all([(path, write)])
 
-    The temporary file is a sibling, `<name>.<random>.tmp`, created
+
+def _atomic_write_all(jobs) -> None:
+    """Produce each `(path, write)` of `jobs` as `_atomic_write` does, but
+    rename only once every write has succeeded: a failure leaves none of the
+    targets and no temporary file.
+
+    Each temporary file is a sibling, `<name>.<random>.tmp`, created
     exclusively so that no other writer shares it, with the mode a plain
     `open` gives under the umask. `write` gets its open descriptor and passes
     it to `open`, which closes it (the library writers take a path or a
     descriptor alike). Writing through the descriptor, instead of reopening
     the path, spares a truncation, which ext4 answers with a flush at close.
+    A temporary file that cannot be created (a missing or read-only
+    directory) is a configuration error; an error of `write` passes through.
     """
-    while True:
-        tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            continue
+    tmps = []
     try:
-        write(fd)
-        os.replace(tmp, path)
+        for path, write in jobs:
+            while True:
+                tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+                try:
+                    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    break
+                except FileExistsError:
+                    continue
+                except OSError as exc:
+                    raise _ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+            tmps.append(tmp)
+            write(fd)
+        for (path, _), tmp in zip(jobs, tmps):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _text_writer(text: str):
+    """The `write` of `_atomic_write` for a text file."""
     def write(fd):
         with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
 
-    _atomic_write(path, write)
+    return write
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    _atomic_write(path, _text_writer(text))
 
 
 def _dump_json(doc) -> str:
@@ -234,16 +256,17 @@ def cmd_train(args) -> int:
     test_acc = _accuracy(trained, [images[i] for i in test_idx],
                          [labels[i] for i in test_idx])
 
-    _atomic_write_text(Path(args.out), _dump_json(cnn.weights_to_json(trained)))
+    writes = [(Path(args.out), _text_writer(_dump_json(cnn.weights_to_json(trained))))]
     if args.history:
-        _atomic_write_text(Path(args.history), _dump_json({
+        writes.append((Path(args.history), _text_writer(_dump_json({
             "epoch_loss": history,
             "train_accuracy": train_acc,
             "test_accuracy": test_acc,
             "train_samples": len(train_idx),
             "test_samples": len(test_idx),
             "classes": class_names,
-        }))
+        }))))
+    _atomic_write_all(writes)
     _info(args, f"train accuracy {_ratio_text(train_acc)}  "
                 f"test accuracy {_ratio_text(test_acc)}")
     return EXIT_OK
@@ -252,8 +275,13 @@ def cmd_train(args) -> int:
 # --- estimate ---------------------------------------------------------------------
 
 def _get_regressor(args) -> resources.RegressorModel:
+    """The `--regressor` file, or else the seed's fit: the shipped
+    `default_regressor.json` for the default seed, a fresh fit otherwise."""
     if getattr(args, "regressor", None):
         return _load(args.regressor, resources.regressor_from_json)
+    if args.seed == _DEFAULT_SEED:
+        return _load(data_path("trained", "default_regressor.json"),
+                     resources.regressor_from_json)
     dataset = resources.build_regressor_dataset(args.seed, _REGRESSOR_TRAIN_SAMPLES)
     return resources.fit_regressor(dataset)
 
@@ -281,11 +309,13 @@ def cmd_estimate(args) -> int:
         "kb_per_param": args.kb_per_param,
     }
     text = _dump_json(record)
+    writes = []
     if args.out:
-        _atomic_write_text(Path(args.out), text)
+        writes.append((Path(args.out), _text_writer(text)))
     if args.save_regressor:
-        _atomic_write_text(Path(args.save_regressor),
-                           _dump_json(resources.regressor_to_json(reg)))
+        writes.append((Path(args.save_regressor), _text_writer(
+            _dump_json(resources.regressor_to_json(reg)))))
+    _atomic_write_all(writes)
     print(text, end="")
     return EXIT_OK
 
@@ -378,17 +408,21 @@ def cmd_simulate(args) -> int:
             report.speedup_vs_baseline = simulation.speedup(baseline, report)
 
     # one scenario writes the report to --out; several write one report per
-    # scenario, in the order given, into the --out directory
+    # scenario, in the order given, into the --out directory; either every
+    # file appears or none does
     out = Path(args.out)
     many = len(reports) > 1
     if many:
         out.mkdir(parents=True, exist_ok=True)
+    writes = []
     for path, report in zip(scenario_paths, reports):
-        target = out / f"{path.stem}_report.json" if many else out
-        _atomic_write_text(target, _dump_json(simulation.report_to_json(report)))
+        writes.append((out / f"{path.stem}_report.json" if many else out,
+                       _text_writer(_dump_json(simulation.report_to_json(report)))))
         if args.event_log:
-            _atomic_write(Path(args.event_log),
-                          partial(simulation.write_event_log, report))
+            writes.append((Path(args.event_log),
+                           partial(simulation.write_event_log, report)))
+    _atomic_write_all(writes)
+    for path, report in zip(scenario_paths, reports):
         _info(args, f"{path.stem + ': ' if many else ''}total_latency_max_sec "
                     f"{report.total_latency_max_sec:.6f} s, "
                     f"faults_handled {report.faults_handled}")
@@ -541,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgemal",
         description="Resource-aware distributed malware detection pipeline")
-    parser.add_argument("--seed", type=int, default=42, help="global PRNG seed")
+    parser.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="global PRNG seed")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress messages")
     # the global flags are also accepted after the subcommand; SUPPRESS keeps

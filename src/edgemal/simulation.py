@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +61,9 @@ class NodeUsage:
     layers_executed: int = 0
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """One timeline entry; the field order is the timeline's sort order."""
+
     time_sec: float
     node_id: str
     kind: str  # compute_start | compute_end | transfer | fault_takeover
@@ -246,7 +248,8 @@ def schedule(scenario: NetworkScenario, placement: Placement, spec: cnn.ModelSpe
     for j, payload in enumerate(cuts):
         pipeline += transfer_cost(stages[j][0], stages[j + 1][0], payload)
 
-    events.sort(key=lambda e: (e.time_sec, e.node_id, e.kind, e.bytes))
+    # entries that tie on every field are equal, so the order is total
+    events.sort()
     return SimReport(
         per_node=usage,
         total_latency_max_sec=total_max,

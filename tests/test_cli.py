@@ -149,6 +149,49 @@ def test_estimate_saved_regressor_round_trip(tmp_path):
     assert loaded.read_bytes() == fitted.read_bytes()
 
 
+def _fitted_regressor_json(seed: int) -> str:
+    return cli._dump_json(resources.regressor_to_json(resources.fit_regressor(
+        resources.build_regressor_dataset(seed, cli._REGRESSOR_TRAIN_SAMPLES))))
+
+
+def test_shipped_regressor_is_the_default_seed_fit():
+    """The regeneration recipe of default_regressor.json."""
+    shipped = cli.data_path("trained", "default_regressor.json").read_text(encoding="utf-8")
+    assert shipped == _fitted_regressor_json(cli._DEFAULT_SEED)
+
+
+def _estimate(tmp_path, *flags) -> tuple[dict, str]:
+    """`estimate`'s record and saved regressor at 3 MB free."""
+    out, regressor = tmp_path / "d.json", tmp_path / "r.json"
+    assert run("--quiet", *flags, "estimate", "--node-free", 3_000_000,
+               "--out", out, "--save-regressor", regressor) == 0
+    return json.loads(out.read_text()), regressor.read_text()
+
+
+def _library_score(regressor_text: str) -> float:
+    reg = resources.regressor_from_json(json.loads(regressor_text))
+    return resources.predict_offload(reg, cli._load_spec(None), 3_000_000).score
+
+
+def test_estimate_default_seed_loads_the_shipped_regressor(tmp_path, monkeypatch):
+    def no_dataset(*args):
+        raise AssertionError("the default seed refit the regressor")
+
+    monkeypatch.setattr(resources, "build_regressor_dataset", no_dataset)
+    for flags in ([], ["--seed", cli._DEFAULT_SEED]):
+        record, saved = _estimate(tmp_path, *flags)
+        assert saved == cli.data_path("trained", "default_regressor.json").read_text()
+        assert record["score"] == _library_score(saved)
+
+
+def test_estimate_other_seed_refits(tmp_path):
+    record, saved = _estimate(tmp_path, "--seed", 7)
+    fitted = _fitted_regressor_json(7)
+    assert saved == fitted
+    assert record["score"] == _library_score(fitted)
+    assert record["score"] != _estimate(tmp_path)[0]["score"]
+
+
 def test_partition_and_simulate_demo(small_corpus, tiny_weights, tmp_path):
     scenario = cli.data_path("scenarios", "demo_fleet.json")
     placement = tmp_path / "placement.json"
@@ -420,6 +463,16 @@ def _same_stem(inputs: Path) -> list[Path]:
         ["simulate", "--scenario", *_same_stem(inputs), "--nodes", 3,
          "--out", out / "reports"], 2, "error: --scenario files must have distinct"),
         id="simulate-duplicate-stems"),
+    pytest.param(lambda inputs, out: (
+        ["partition", "--scenario", cli.data_path("scenarios", "demo_fleet.json"),
+         "--out", out / "nodir" / "p.json"], 2,
+        f"error: cannot write {out / 'nodir' / 'p.json'}: No such file or directory"),
+        id="partition-missing-directory"),
+    pytest.param(lambda inputs, out: (
+        ["estimate", "--node-free", 3_000_000, "--out", out / "ok.json",
+         "--save-regressor", out / "nodir" / "r.json"], 2,
+        f"error: cannot write {out / 'nodir' / 'r.json'}: No such file or directory"),
+        id="estimate-second-output-missing-directory"),
 ])
 def test_failing_command_writes_nothing(case, small_corpus, tiny_weights, tmp_path,
                                         monkeypatch, capsys):
@@ -441,6 +494,24 @@ def test_failing_command_writes_nothing(case, small_corpus, tiny_weights, tmp_pa
     assert err.startswith(error)
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(lambda out, corpus, weights: [
+        "train", "--corpus", corpus, "--epochs", 1, "--batch-size", 4,
+        "--out", out / "w.json", "--history", out / "nodir" / "h.json"], id="train"),
+    pytest.param(lambda out, corpus, weights: [
+        "simulate", "--scenario", cli.data_path("scenarios", "demo_fleet.json"),
+        "--weights", weights, "--corpus", corpus, "--limit", 2,
+        "--out", out / "r.json", "--event-log", out / "nodir" / "e.csv"], id="simulate"),
+])
+def test_second_output_in_missing_directory_writes_nothing(argv, small_corpus, tiny_weights,
+                                                           tmp_path, capsys):
+    assert run("--quiet", *argv(tmp_path, small_corpus, tiny_weights)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / 'nodir'}")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _scaled(n_batches, batch_size, kb_per_param):

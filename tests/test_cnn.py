@@ -510,6 +510,45 @@ def test_forward_batch_equals_forward(default_spec, tiny_spec, count):
         assert not any(np.shares_memory(a, b) for a, b in zip(got, got[1:]))
 
 
+@pytest.mark.parametrize("count", [1, cnn.FORWARD_CHUNK, cnn.FORWARD_CHUNK + 1])
+def test_forward_batch_products_match_per_sample_bits(default_spec, monkeypatch, count):
+    """Every float64 product of a batched conv or dense step equals, item by
+    item, the per-sample `cols @ w2` or `a @ w` of `_apply_conv` and
+    `_apply_dense`. A one-ulp change there can vanish in the float32 rounding
+    that follows, so the output-level tests above may not see it."""
+    model = cnn.build_model(default_spec, 5)
+    rng = SplitMix64(17)
+    xs = [cnn.Tensor(rng.normals(int(np.prod(default_spec.input_shape)))
+                     .astype(np.float32).reshape(default_spec.input_shape))
+          for _ in range(count)]
+    calls = []
+    matmul = np.matmul
+
+    def spy(a, w, **kwargs):
+        product = matmul(a, w, **kwargs)
+        calls.append((a.copy(), w, product.copy()))
+        return product
+
+    monkeypatch.setattr(np, "matmul", spy)
+    cnn.forward_batch(model, xs)
+    monkeypatch.undo()
+
+    chunks = -(-count // cnn.FORWARD_CHUNK)
+    kinds = [layer.kind for layer in default_spec.layers]
+    assert len(calls) == chunks * sum(kind in (cnn.KIND_CONV, cnn.KIND_DENSE,
+                                               cnn.KIND_SOFTMAX) for kind in kinds)
+    convs = 0
+    for a, w, product in calls:
+        for item, got in zip(a, product):
+            if item.ndim == 2 and item.shape[0] > 1:  # a conv's (oh*ow, K) columns
+                convs += 1
+                want = item @ w
+            else:  # a dense input row
+                want = item.reshape(-1) @ w
+            _assert_same_bits(got.reshape(want.shape), want)
+    assert convs == count * kinds.count(cnn.KIND_CONV)
+
+
 def test_forward_batch_empty(tiny_spec):
     assert cnn.forward_batch(cnn.build_model(tiny_spec, 0), []) == []
 
