@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -443,6 +446,69 @@ def test_schedule_matches_simulate_inference(case, spec_fixture, request,
     assert timed.warnings == full.warnings
     assert timed.faults_handled == full.faults_handled
     assert full.faults_handled == len(faults)
+
+
+def _digest_reference(default_spec):
+    net = partitioning.scenario_from_json(
+        read_json(data_path("scenarios", "reference_fleet.json")))
+    placement = partitioning.placement_from_json(
+        read_json(data_path("scenarios", "reference_fleet_nodes4.json")))
+    return net, placement, default_spec, 32, []
+
+
+def _digest_child_takeover(tiny_spec):
+    net = fleet([("p", 10 * MB, 1e3, 0.0, (0, 0)), ("c", 10 * MB, 1e3, 0.0, (1, 0))],
+                [("p", "c", 0.001, 1e7)])
+    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], [], "p")
+    return net, placement, tiny_spec, 6, [simulation.FaultEvent("c", 2.0)]
+
+
+def _digest_unreachable_takeover(tiny_spec):
+    # from the third input c1 is down, so c2's stage would come from the
+    # parent over a link that does not exist: the parent takes c2's stage too
+    net = fleet([("p", 10 * MB, 1e3, 0.0, (0, 0)),
+                 ("c1", 10 * MB, 1e3, 0.0, (1, 0)),
+                 ("c2", 10 * MB, 2e3, 0.0, (2, 0))],
+                [("p", "c1", 0.001, 1e7), ("c1", "c2", 0.002, 1e6)])
+    placement = partitioning.Placement(
+        [("p", (0, 2)), ("c1", (2, 4)), ("c2", (4, 6))], [], "p")
+    faults = [simulation.FaultEvent("c2", 5.0), simulation.FaultEvent("c1", 1.5),
+              simulation.FaultEvent("c2", 2.0)]
+    return net, placement, tiny_spec, 5, faults
+
+
+def _digest_over_capacity(tiny_spec):
+    parent_mem = sum(resources.layer_bytes(tiny_spec)[:4]) + 1
+    net = fleet([("p", parent_mem, 1e3, 0.0, (0, 0)),
+                 ("c", 10 * MB, 1e3, 0.0, (1, 0))],
+                [("p", "c", 0.001, 1e7)])
+    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], [], "p")
+    # two faults at one time: the first one's time, 0.0, is the takeover's
+    faults = [simulation.FaultEvent("c", 0.0), simulation.FaultEvent("c", -0.0)]
+    return net, placement, tiny_spec, 3, faults
+
+
+@pytest.mark.parametrize("case, spec_fixture, digest", [
+    (_digest_reference, "default_spec",
+     "2568d621c8958c3238f2b87800d9f0dc886706c408e4ab67ae3288c42382465b"),
+    (_digest_child_takeover, "tiny_spec",
+     "91b3b17ce01231cd8d297f708c6370c98bceb6e091d12706bf3605b33f6a11d9"),
+    (_digest_unreachable_takeover, "tiny_spec",
+     "0ae4a331880a938871980d912d1f799de044db65ff3498dded313a93033bcc40"),
+    (_digest_over_capacity, "tiny_spec",
+     "57d524695f22900362fa79e9658f9400f3459ea0529ecbf81f41a1d3b6915f83"),
+], ids=["reference-nodes4", "child-takeover", "unreachable-takeover",
+        "parent-over-capacity"])
+def test_schedule_bits_pinned(case, spec_fixture, digest, request, tmp_path):
+    """sha256 of the report JSON then the event log bytes, measured before
+    `schedule` was restructured: every time, byte count and warning to the
+    last bit."""
+    net, placement, spec, n_inputs, faults = case(request.getfixturevalue(spec_fixture))
+    report = simulation.schedule(net, placement, spec, n_inputs, faults)
+    log = tmp_path / "events.csv"
+    simulation.write_event_log(report, log)
+    doc = json.dumps(simulation.report_to_json(report), sort_keys=True)
+    assert hashlib.sha256(doc.encode() + log.read_bytes()).hexdigest() == digest
 
 
 def test_makespan_reference_fleet(default_spec):
