@@ -44,16 +44,12 @@ def data_path(*parts: str) -> Path:
     return Path(importlib_resources.files("edgemal").joinpath("data", *parts))
 
 
-def _atomic_write(path: Path, write) -> None:
-    """Produce `path` through `write(fd)`, then rename; a failed write
-    removes the temporary file."""
-    _atomic_write_all([(path, write)])
-
-
 def _atomic_write_all(jobs) -> None:
-    """Produce each `(path, write)` of `jobs` as `_atomic_write` does, but
-    rename only once every write has succeeded: a failure leaves none of the
-    targets and no temporary file.
+    """Produce each `(path, write)` of `jobs` through `write(fd)` into a
+    temporary sibling, and rename them only once every write has succeeded: a
+    failure leaves none of the targets and no temporary file. `jobs` is
+    iterated once, so a generator may build each writer as it goes; nothing a
+    writer holds is kept after it has run.
 
     Each temporary file is a sibling, `<name>.<random>.tmp`, created
     exclusively so that no other writer shares it, with the mode a plain
@@ -61,12 +57,15 @@ def _atomic_write_all(jobs) -> None:
     it to `open`, which closes it (the library writers take a path or a
     descriptor alike). Writing through the descriptor, instead of reopening
     the path, spares a truncation, which ext4 answers with a flush at close.
-    A temporary file that cannot be created (a missing or read-only
-    directory) is a configuration error; an error of `write` passes through.
+    A target that is a directory, and a temporary file that cannot be created
+    (a missing or read-only directory), is a configuration error; an error of
+    `write` passes through.
     """
-    tmps = []
+    written = []
     try:
         for path, write in jobs:
+            if path.is_dir():
+                raise _ConfigError(f"cannot write {path}: Is a directory")
             while True:
                 tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
                 try:
@@ -76,27 +75,23 @@ def _atomic_write_all(jobs) -> None:
                     continue
                 except OSError as exc:
                     raise _ConfigError(f"cannot write {path}: {exc.strerror}") from exc
-            tmps.append(tmp)
+            written.append((tmp, path))
             write(fd)
-        for (path, _), tmp in zip(jobs, tmps):
+        for tmp, path in written:
             os.replace(tmp, path)
     except BaseException:
-        for tmp in tmps:
+        for tmp, _ in written:
             tmp.unlink(missing_ok=True)
         raise
 
 
 def _text_writer(text: str):
-    """The `write` of `_atomic_write` for a text file."""
+    """The `write` of `_atomic_write_all` for a text file."""
     def write(fd):
         with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
 
     return write
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write(path, _text_writer(text))
 
 
 def _dump_json(doc) -> str:
@@ -163,32 +158,33 @@ def cmd_gen_corpus(args) -> int:
     columns = [name_to_col[name] for name in selected]
 
     samples = []
-    for i in range(bundle.traces.rows.shape[0]):
-        full = features.sample_image(bundle, i, columns)
-        rel = _pgm_name(i)
-        _atomic_write(out / rel, partial(features.write_pgm, features.downsample(full)))
-        if args.full_res:
-            _atomic_write(out / f"full_res/img_{i:06d}.pgm",
-                          partial(features.write_pgm, full))
-        samples.append({
-            "file": rel,
-            "label": full.label,
-            "class_name": bundle.traces.class_names[full.label],
-        })
 
-    _atomic_write(out / "traces.csv",
-                  partial(features.write_traces_csv, bundle.traces))
-    _atomic_write_text(out / "ranked_events.json",
-                       _dump_json(features.ranked_to_json(ranked)))
-    manifest = {
-        "class_names": bundle.traces.class_names,
-        "side": features.SMALL_SIDE,
-        "seed": args.seed,
-        "noise": args.noise,
-        "selected_events": selected,
-        "samples": samples,
-    }
-    _atomic_write_text(out / "manifest.json", _dump_json(manifest))
+    def files():
+        # one image at a time: each is written before the next is made
+        for i in range(bundle.traces.rows.shape[0]):
+            full = features.sample_image(bundle, i, columns)
+            rel = _pgm_name(i)
+            yield out / rel, partial(features.write_pgm, features.downsample(full))
+            if args.full_res:
+                yield out / f"full_res/img_{i:06d}.pgm", partial(features.write_pgm, full)
+            samples.append({
+                "file": rel,
+                "label": full.label,
+                "class_name": bundle.traces.class_names[full.label],
+            })
+        yield out / "traces.csv", partial(features.write_traces_csv, bundle.traces)
+        yield out / "ranked_events.json", _text_writer(
+            _dump_json(features.ranked_to_json(ranked)))
+        yield out / "manifest.json", _text_writer(_dump_json({
+            "class_names": bundle.traces.class_names,
+            "side": features.SMALL_SIDE,
+            "seed": args.seed,
+            "noise": args.noise,
+            "selected_events": selected,
+            "samples": samples,
+        }))
+
+    _atomic_write_all(files())
     _info(args, f"wrote {len(samples)} images + manifest to {out}")
     return EXIT_OK
 
@@ -219,7 +215,7 @@ def cmd_rank_events(args) -> int:
     ranked = features.rank_events(traces)
     doc = features.ranked_to_json(ranked)
     if args.out:
-        _atomic_write_text(Path(args.out), _dump_json(doc))
+        _atomic_write_all([(Path(args.out), _text_writer(_dump_json(doc)))])
     shown = ranked[: args.top] if args.top else ranked
     for entry in shown:
         _info(args, f"rank {entry.rank:3d}  rho {entry.rho:+.6f}  {entry.name}")
@@ -348,8 +344,8 @@ def cmd_partition(args) -> int:
     placement = _build_placement(scenario, spec, args.nodes, bytes_per_param)
     # `simulate`'s placement check: write no placement that it would reject
     simulation.schedule(scenario, placement, spec, 0, bytes_per_param=bytes_per_param)
-    _atomic_write_text(Path(args.out),
-                       _dump_json(partitioning.placement_to_json(placement)))
+    _atomic_write_all([(Path(args.out), _text_writer(
+        _dump_json(partitioning.placement_to_json(placement))))])
     ranges = ", ".join(f"{nid}:[{lo}..{hi - 1}]"
                        for nid, (lo, hi) in placement.assignments)
     _info(args, f"placement: {ranges}")
@@ -524,7 +520,7 @@ def cmd_report(args) -> int:
     result, lines = _load(args.report, _summarize_report, manifest)
     print("\n".join(lines))
     if args.out:
-        _atomic_write_text(Path(args.out), _dump_json(result))
+        _atomic_write_all([(Path(args.out), _text_writer(_dump_json(result)))])
     return EXIT_OK
 
 

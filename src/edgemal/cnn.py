@@ -246,12 +246,6 @@ def resolve_spec(spec: ModelSpec) -> ModelSpec:
     return ModelSpec(tuple(spec.input_shape), tuple(resolved))
 
 
-def layer_output_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
-    """Output shape of every layer, in order."""
-    rspec = resolve_spec(spec)
-    return [layer.out_shape for layer in rspec.layers]
-
-
 def build_model(spec: ModelSpec, seed: int) -> Model:
     """Validate the spec and initialize weights uniformly in
     [-WEIGHT_INIT_SPAN, WEIGHT_INIT_SPAN] from a SplitMix64 stream.

@@ -247,15 +247,9 @@ def partition_layers(spec: cnn.ModelSpec, nodes: list[NodeProfile], *,
 
 def cut_bytes(spec: cnn.ModelSpec, placement: Placement) -> list[int]:
     """Bytes of the activation tensor crossing each assignment boundary."""
-    shapes = cnn.layer_output_shapes(spec)
-    out = []
-    for node_idx in range(len(placement.assignments) - 1):
-        _, (_, stop) = placement.assignments[node_idx]
-        elements = 1
-        for extent in shapes[stop - 1]:
-            elements *= extent
-        out.append(elements * ACTIVATION_BYTES)
-    return out
+    layers = cnn.resolve_spec(spec).layers
+    return [math.prod(layers[stop - 1].out_shape) * ACTIVATION_BYTES
+            for _, (_, stop) in placement.assignments[:-1]]
 
 
 def validate_placement(placement: Placement, network: NetworkScenario,

@@ -5,16 +5,26 @@ schedule, picks each stage's executor, and times compute and transfers
 (per-stage compute cost from the flop counter, transfer cost from link
 latency plus payload over bandwidth, pipelined input streaming: a stage
 starts the next input as soon as it is free). It reads no weights and runs
-no layer. The placement and the faults decide only timing and memory: the
-stages together apply every layer, in order, through the same kernels as
-`cnn.forward`, so a distributed run's outputs are `forward`'s outputs.
+no layer.
+
+Transfer model: a transfer only delays its receiver. It occupies neither its
+sender, which may compute or send again at once, nor the link, which may
+carry any number of transfers at a time; its duration is charged to the
+sender's `transfer_sec`. The last stage's output is not sent back to the
+parent.
+
+The placement and the faults decide only timing and memory: the stages
+together cover every layer once, in order, and a stage taken over runs the
+same layers, so a distributed run's outputs are `forward`'s outputs.
 `simulate_inference` pairs one scenario's schedule with them, computed in one
 `cnn.forward_batch` call, which is bit-identical to `forward` per input.
 
 Fault model: when a child node is offline at the moment it would start a
 stage, the parent executes that stage from its full parameter replica. The
 parent keeps a replica of every partition precisely so this takeover needs
-no recovery traffic.
+no recovery traffic. A child with a fault that the previous stage's executor
+cannot reach is taken over at once; one without a fault raises
+UnroutableTransfer.
 """
 
 from __future__ import annotations
@@ -73,7 +83,9 @@ class SimEvent(NamedTuple):
 @dataclass
 class SimReport:
     """One simulated run. `total_latency_max_sec` is the busiest node's busy
-    plus transfer time, a throughput bound; `total_latency_pipeline_sec` is
+    plus transfer time. It bounds throughput only while transfers are small:
+    a transfer occupies neither its sender nor the link, so when transfers
+    dominate it can exceed `makespan_sec`. `total_latency_pipeline_sec` is
     one input's critical path; `makespan_sec` is when the last compute ends."""
 
     per_node: dict[str, NodeUsage]
@@ -96,10 +108,6 @@ def _effective_speed(node) -> float:
         raise InsufficientResources(
             f"node {node.id!r} has no spare compute capacity")
     return speed
-
-
-def _range_flops(rspec: cnn.ModelSpec, lo: int, hi: int) -> int:
-    return sum(cnn.layer_flops(layer) for layer in rspec.layers[lo:hi])
 
 
 def simulate_inference(scenario: NetworkScenario, placement: Placement,
@@ -143,9 +151,8 @@ def schedule(scenario: NetworkScenario, placement: Placement, spec: cnn.ModelSpe
             raise InvalidFault("the parent node cannot be the fault target")
         if fault.time_sec < 0.0:
             raise InvalidFault("fault time must be >= 0")
-        prev = fault_time.get(fault.node_id)
-        fault_time[fault.node_id] = (fault.time_sec if prev is None
-                                     else min(prev, fault.time_sec))
+        fault_time[fault.node_id] = min(fault_time.get(fault.node_id, fault.time_sec),
+                                        fault.time_sec)
 
     rspec = cnn.resolve_spec(spec)
     stages = placement.assignments
@@ -157,7 +164,7 @@ def schedule(scenario: NetworkScenario, placement: Placement, spec: cnn.ModelSpe
     stage_cost = []
     parent_cost = []
     for node_id, (lo, hi) in stages:
-        flops = _range_flops(rspec, lo, hi)
+        flops = sum(cnn.layer_flops(layer) for layer in rspec.layers[lo:hi])
         stage_cost.append(flops / _effective_speed(scenario.node(node_id)))
         parent_cost.append(flops / _effective_speed(parent))
 
@@ -167,11 +174,12 @@ def schedule(scenario: NetworkScenario, placement: Placement, spec: cnn.ModelSpe
     warnings: list[str] = []
     avail: dict[str, float] = {}
     redirected: set[str] = set()
-    fallback_bytes = 0
-    over_capacity_reported = False
+    # what the parent holds: its own ranges, then each range it takes over
+    parent_bytes = sum(b for (node_id, _), b in zip(stages, range_bytes)
+                       if node_id == parent_id)
 
-    def transfer_cost(sender: str, receiver: str, payload: int) -> float:
-        if sender == receiver:
+    def hop(sender: str | None, receiver: str, payload: int) -> float:
+        if sender is None or sender == receiver:
             return 0.0
         link = scenario.link_between(sender, receiver)
         if link is None:
@@ -179,80 +187,60 @@ def schedule(scenario: NetworkScenario, placement: Placement, spec: cnn.ModelSpe
                 f"no link for transfer {sender!r} -> {receiver!r}")
         return link.transfer_sec(payload)
 
-    parent_range_bytes = sum(b for (node_id, _), b in zip(stages, range_bytes)
-                             if node_id == parent_id)
-
     for _ in range(n_inputs):
-        prev_executor = None
-        prev_done = 0.0
+        sender = None
+        done = 0.0
         for j, (node_id, (lo, hi)) in enumerate(stages):
             payload = cuts[j - 1] if j > 0 else 0
-            # decide the executor before charging anything: the nominal node
-            # runs the stage unless it is offline when it would start
-            executor = node_id
-            cost = stage_cost[j]
-            if executor != parent_id and executor in fault_time:
-                tentative = prev_done
-                if prev_executor is not None:
-                    try:
-                        tentative += transfer_cost(prev_executor, executor,
-                                                   payload)
-                    except UnroutableTransfer:
-                        tentative = math.inf  # unreachable; takeover applies
-                tentative = max(avail.get(executor, 0.0), tentative)
-                if tentative >= fault_time[executor]:
-                    if executor not in redirected:
-                        redirected.add(executor)
-                        fallback_bytes += range_bytes[j]
-                        events.append(SimEvent(fault_time[executor], executor,
+            # the nominal node runs the stage unless it is offline when it would start
+            executor, cost = node_id, stage_cost[j]
+            if node_id in fault_time:
+                try:
+                    start = max(avail.get(node_id, 0.0),
+                                done + hop(sender, node_id, payload))
+                except UnroutableTransfer:
+                    start = math.inf  # the sender cannot reach it: taken over
+                if start >= fault_time[node_id]:
+                    if node_id not in redirected:
+                        redirected.add(node_id)
+                        parent_bytes += range_bytes[j]
+                        events.append(SimEvent(fault_time[node_id], node_id,
                                                "fault_takeover"))
-                        if (not over_capacity_reported
-                                and parent_range_bytes + fallback_bytes
-                                > parent.mem_free_bytes):
-                            over_capacity_reported = True
+                        if not warnings and parent_bytes > parent.mem_free_bytes:
                             warnings.append(
                                 "ParentOverCapacity: fault fallback needs "
-                                f"{parent_range_bytes + fallback_bytes} bytes,"
-                                f" parent has {parent.mem_free_bytes};"
-                                " continuing for availability")
-                    executor = parent_id
-                    cost = parent_cost[j]
+                                f"{parent_bytes} bytes, parent has "
+                                f"{parent.mem_free_bytes}; continuing for availability")
+                    executor, cost = parent_id, parent_cost[j]
 
-            ready = prev_done
-            if prev_executor is not None and prev_executor != executor:
-                hop = transfer_cost(prev_executor, executor, payload)
-                usage[prev_executor].transfer_sec += hop
-                events.append(SimEvent(prev_done, prev_executor, "transfer",
-                                       payload))
-                ready = prev_done + hop
-            start = max(avail.get(executor, 0.0), ready)
-
+            transfer = hop(sender, executor, payload)
+            if sender not in (None, executor):
+                usage[sender].transfer_sec += transfer
+                events.append(SimEvent(done, sender, "transfer", payload))
+            start = max(avail.get(executor, 0.0), done + transfer)
             events.append(SimEvent(start, executor, "compute_start"))
-            done = start + cost
-            avail[executor] = done
+            avail[executor] = done = start + cost
             usage[executor].busy_sec += cost
             usage[executor].layers_executed += hi - lo
             events.append(SimEvent(done, executor, "compute_end"))
-            prev_executor = executor
-            prev_done = done
+            sender = executor
 
     # memory accounting: the parent stores replicas of every partition plus
     # the activation buffers for each boundary; children store their own range
-    total_model_bytes = sum(range_bytes)
     for (node_id, _), rbytes in zip(stages, range_bytes):
         usage[node_id].bytes_consumed += rbytes
-    usage[parent_id].bytes_consumed = total_model_bytes + sum(cuts)
+    usage[parent_id].bytes_consumed = sum(range_bytes) + sum(cuts)
 
-    total_max = max(u.busy_sec + u.transfer_sec for u in usage.values())
+    # a left fold in cut order: from Python 3.12 `sum` compensates float sums
     pipeline = sum(stage_cost)
-    for j, payload in enumerate(cuts):
-        pipeline += transfer_cost(stages[j][0], stages[j + 1][0], payload)
+    for (a, _), (b, _), payload in zip(stages, stages[1:], cuts):
+        pipeline += hop(a, b, payload)
 
     # entries that tie on every field are equal, so the order is total
     events.sort()
     return SimReport(
         per_node=usage,
-        total_latency_max_sec=total_max,
+        total_latency_max_sec=max(u.busy_sec + u.transfer_sec for u in usage.values()),
         total_latency_pipeline_sec=pipeline,
         makespan_sec=max(avail.values(), default=0.0),
         parent_id=parent_id,

@@ -47,19 +47,6 @@ def read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def count_layer_forward(monkeypatch) -> list:
-    """Records the layer of every `cnn.layer_forward` call from here on."""
-    calls = []
-    original = cnn.layer_forward
-
-    def counting(layer, weights, x):
-        calls.append(layer)
-        return original(layer, weights, x)
-
-    monkeypatch.setattr(cnn, "layer_forward", counting)
-    return calls
-
-
 def count_forward_batch(monkeypatch) -> list:
     """Records the input count of every `cnn.forward_batch` call from here on."""
     calls = []

@@ -73,6 +73,16 @@ def _pgm_bytes(img, tmp_path) -> bytes:
     return path.read_bytes()
 
 
+def test_gen_corpus_failure_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    (out / "traces.csv").mkdir(parents=True)
+    assert run("--quiet", "gen-corpus", "--out", out, "--per-class", 1) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / 'traces.csv'}: Is a directory")
+    assert "Traceback" not in err
+    assert [path for path in out.rglob("*") if not path.is_dir()] == []
+
+
 def test_gen_corpus_full_res_matches_library(tmp_path):
     out = tmp_path / "corpus"
     assert run("--seed", 3, "--quiet", "gen-corpus", "--out", out,
@@ -433,6 +443,11 @@ def _star(inputs: Path) -> Path:
     return path
 
 
+def _made_dir(path: Path) -> Path:
+    path.mkdir()
+    return path
+
+
 def _same_stem(inputs: Path) -> list[Path]:
     """Two scenario files, a/fleet.json and b/fleet.json, of one stem."""
     paths = []
@@ -473,6 +488,14 @@ def _same_stem(inputs: Path) -> list[Path]:
          "--save-regressor", out / "nodir" / "r.json"], 2,
         f"error: cannot write {out / 'nodir' / 'r.json'}: No such file or directory"),
         id="estimate-second-output-missing-directory"),
+    pytest.param(lambda inputs, out: (
+        ["estimate", "--node-free", 1, "--out", _made_dir(out / "adir")], 2,
+        f"error: cannot write {out / 'adir'}: Is a directory"),
+        id="estimate-out-is-a-directory"),
+    pytest.param(lambda inputs, out: (
+        ["train", "--out", out / "w.json", "--history", _made_dir(out / "hdir")], 2,
+        f"error: cannot write {out / 'hdir'}: Is a directory"),
+        id="train-history-is-a-directory"),
 ])
 def test_failing_command_writes_nothing(case, small_corpus, tiny_weights, tmp_path,
                                         monkeypatch, capsys):
@@ -481,6 +504,9 @@ def test_failing_command_writes_nothing(case, small_corpus, tiny_weights, tmp_pa
     inputs.mkdir()
     out.mkdir()
     argv, code, error = case(inputs, out)
+    before = sorted(out.rglob("*"))
+    if argv[0] == "train":
+        argv += ["--corpus", small_corpus, "--epochs", 1, "--batch-size", 4]
     if argv[0] == "simulate":
         # simulate fails before it schedules; partition's last check is one
         argv += ["--weights", tiny_weights, "--corpus", small_corpus, "--limit", 2]
@@ -493,7 +519,7 @@ def test_failing_command_writes_nothing(case, small_corpus, tiny_weights, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith(error)
     assert "Traceback" not in err
-    assert list(out.iterdir()) == []
+    assert sorted(out.rglob("*")) == before
 
 
 @pytest.mark.parametrize("argv", [
@@ -587,7 +613,7 @@ def test_atomic_write_failure_leaves_nothing(tmp_path):
         raise OSError("disk full")
 
     with pytest.raises(OSError):
-        cli._atomic_write(target, failing)
+        cli._atomic_write_all([(target, failing)])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -602,9 +628,9 @@ def test_atomic_write_leaves_other_tmp_files_alone(tmp_path):
         raise OSError("disk full")
 
     with pytest.raises(OSError):
-        cli._atomic_write(target, failing)
+        cli._atomic_write_all([(target, failing)])
     assert sorted(tmp_path.iterdir()) == [other]
-    cli._atomic_write_text(target, "ours")
+    cli._atomic_write_all([(target, cli._text_writer("ours"))])
     assert sorted(tmp_path.iterdir()) == [target, other]
     assert target.read_text() == "ours"
     assert other.read_text() == "theirs"
@@ -615,7 +641,7 @@ def test_atomic_write_mode_follows_umask(umask, tmp_path):
     target = tmp_path / "out.txt"
     saved = os.umask(umask)
     try:
-        cli._atomic_write_text(target, "x")
+        cli._atomic_write_all([(target, cli._text_writer("x"))])
     finally:
         os.umask(saved)
     assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask

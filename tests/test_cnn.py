@@ -18,7 +18,7 @@ from conftest import rand_tensor, read_json
 # --- spec resolution and model construction ---
 
 def test_default_spec_shape_chain(default_spec):
-    shapes = cnn.layer_output_shapes(default_spec)
+    shapes = [layer.out_shape for layer in cnn.resolve_spec(default_spec).layers]
     assert len(shapes) == 11
     assert shapes == [
         (32, 32, 1), (30, 30, 8), (15, 15, 8), (13, 13, 8), (6, 6, 8),

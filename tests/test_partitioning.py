@@ -226,7 +226,7 @@ def test_single_node_placement_has_no_cuts(default_spec):
 def test_greedy_cut_is_a_valid_two_way_split(default_spec):
     # the greedy boundary must be among the cuts of all contiguous 2-way splits
     per = resources.layer_bytes(default_spec)
-    shapes = cnn.layer_output_shapes(default_spec)
+    shapes = [layer.out_shape for layer in cnn.resolve_spec(default_spec).layers]
     all_cuts = {int(np.prod(shapes[b - 1])) * 4 for b in range(1, len(per))}
     placement = partitioning.partition_layers(
         default_spec, node_profiles([("n1", 5 * MB), ("n2", 5 * MB)]))

@@ -15,7 +15,7 @@ from edgemal.errors import (
 )
 from edgemal.rng import SplitMix64
 
-from conftest import INPUT_COUNTS, count_layer_forward, rand_tensor, read_json
+from conftest import INPUT_COUNTS, count_forward_batch, rand_tensor, read_json
 
 MB = 1024 * 1024
 
@@ -433,10 +433,11 @@ def test_schedule_matches_simulate_inference(case, spec_fixture, request,
                                              monkeypatch):
     spec = request.getfixturevalue(spec_fixture)
     net, placement, model, xs, faults = case(spec)
+    calls = count_forward_batch(monkeypatch)
     full = simulation.simulate_inference(net, placement, model, xs, faults)
-    calls = count_layer_forward(monkeypatch)
+    assert calls == [len(xs)]
     timed = simulation.schedule(net, placement, spec, len(xs), faults)
-    assert calls == []
+    assert calls == [len(xs)]  # schedule ran no layer
     assert timed.outputs == []
     assert timed.per_node == full.per_node
     assert timed.events == full.events
