@@ -85,6 +85,15 @@ def _atomic_write_all(jobs) -> None:
         raise
 
 
+def _make_dir(path: Path) -> None:
+    """Create the output directory `path` and its parents; a path that cannot
+    be made a directory (a file is in the way) is a configuration error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _text_writer(text: str):
     """The `write` of `_atomic_write_all` for a text file."""
     def write(fd):
@@ -144,9 +153,9 @@ def cmd_gen_corpus(args) -> int:
         raise _ConfigError(f"--events must be >= {args.classes - 1} for "
                            f"{args.classes} classes, got {args.events}")
     out = Path(args.out)
-    (out / "images").mkdir(parents=True, exist_ok=True)
+    _make_dir(out / "images")
     if args.full_res:
-        (out / "full_res").mkdir(parents=True, exist_ok=True)
+        _make_dir(out / "full_res")
 
     bundle = features.gen_synthetic_corpus(
         samples_per_class=args.per_class, events=args.events,
@@ -374,6 +383,12 @@ def cmd_simulate(args) -> int:
     if len({path.stem for path in scenario_paths}) < len(scenario_paths):
         raise _ConfigError("--scenario files must have distinct names: each "
                            "writes <name>_report.json into --out")
+    # one scenario writes the report to --out; several write one report per
+    # scenario, in the order given, into the --out directory
+    out = Path(args.out)
+    many = len(scenario_paths) > 1
+    if many and out.exists() and not out.is_dir():
+        raise _ConfigError(f"cannot write {out}: Not a directory")
     spec = _load_spec(args.model)
     model = _load(args.weights, cnn.weights_from_json, spec)
     _, images, labels, names = _load_corpus(Path(args.corpus), args.limit)
@@ -403,13 +418,9 @@ def cmd_simulate(args) -> int:
         if baseline is not None:
             report.speedup_vs_baseline = simulation.speedup(baseline, report)
 
-    # one scenario writes the report to --out; several write one report per
-    # scenario, in the order given, into the --out directory; either every
-    # file appears or none does
-    out = Path(args.out)
-    many = len(reports) > 1
+    # either every file appears or none does
     if many:
-        out.mkdir(parents=True, exist_ok=True)
+        _make_dir(out)
     writes = []
     for path, report in zip(scenario_paths, reports):
         writes.append((out / f"{path.stem}_report.json" if many else out,

@@ -34,7 +34,23 @@ Conventions fixed for reproducibility:
     (di, dj) row-major order; the other elements of the window get 0.0. The
     window offsets are tested from last to first, each hit overwriting the
     window's offset, so the earliest maximum is the one kept, and one scatter
-    routes the gradient.
+    routes the gradient;
+  - train_model gives the bits of per-sample backpropagation (_forward_acts
+    and _backward, which stay as the oracle of backward_check and the tests).
+    It runs each minibatch FORWARD_CHUNK samples at a time: forward through
+    forward_batch's layer steps in float64, backward through batched steps,
+    all writing into buffers allocated once per call. Every per-item
+    product keeps the per-sample shapes: the conv weight gradient is a
+    stacked cols^T @ dz, the column gradient W2 @ dz^T, a dense input
+    gradient W @ dz as (K, N) @ (n, N, 1), one gemv per item. Pool backward
+    is one scatter and col2im one bincount, with each item's indices offset
+    past the earlier items. A conv bias gradient is dz.sum(axis=1), which
+    sums each item as the per-sample dz2.sum(axis=0) does: row by row, or
+    pairwise when f = 1. The minibatch gradient is the fold acc = g[0];
+    acc = acc + g[k] in sample order. An np.sum or np.add.reduce over the
+    item axis is not: it starts from +0.0, so a column that is -0.0 for
+    every item (a dead relu unit's bias) comes out +0.0, and a bias of -0.0
+    updated by it stays -0.0 where the fold gives +0.0.
 """
 
 from __future__ import annotations
@@ -67,7 +83,7 @@ ACTIVATIONS = ("none", "relu", "softmax")
 
 LOG_CLAMP = 1e-12  # floor inside the cross-entropy log
 WEIGHT_INIT_SPAN = 0.05
-FORWARD_CHUNK = 16  # inputs per layer call in forward_batch
+FORWARD_CHUNK = 16  # inputs per layer call in forward_batch and train_model
 
 
 class Tensor:
@@ -399,25 +415,31 @@ def forward(model: Model, x: Tensor) -> Tensor:
     return act
 
 
-# --- batched inference ----------------------------------------------------------
+# --- batched layer steps ---------------------------------------------------------
 #
 # Each `_batch_*` builder allocates one layer's work buffers for `rows` inputs
 # and returns the step that applies the layer to a chunk of n <= rows inputs,
 # (n, *in_shape) -> (n, *out_shape), writing into those buffers. A step's
-# output is overwritten by the next chunk.
+# output is overwritten by the next chunk. `wb` is a float64 (weight, bias)
+# pair that the step reads at every call, so training updates it in place
+# between minibatches. `out_dtype` is float32 for inference and float64 for
+# training, whose steps take float64 chunks.
 
 def _batch_conv(layer: LayerSpec, wb: tuple[np.ndarray, np.ndarray],
-                in_shape: tuple[int, ...], rows: int):
+                in_shape: tuple[int, ...], rows: int, out_dtype):
     h, w, c = in_shape
     kh, kw, f = layer.kernel_h, layer.kernel_w, layer.filters
     oh, ow = h - kh + 1, w - kw + 1
     idx = _im2col_index(h, w, c, kh, kw)
-    w2 = wb[0].reshape(kh * kw * c, f).astype(np.float64)
-    bias = np.tile(wb[1].astype(np.float64), oh * ow)
+    w2 = wb[0].reshape(kh * kw * c, f)  # a view, so it sees in-place updates
+    bias = np.empty((oh * ow, f))
     a64 = np.empty((rows, h * w * c))
     cols = np.empty((rows, *idx.shape))
     z = np.empty((rows, oh * ow, f))
-    out = np.empty((rows, oh, ow, f), dtype=np.float32)
+    out = z.reshape(rows, oh, ow, f)
+    rounds = out_dtype != np.float64
+    if rounds:
+        out = np.empty((rows, oh, ow, f), dtype=out_dtype)
 
     def step(a: np.ndarray) -> np.ndarray:
         n = len(a)
@@ -426,20 +448,24 @@ def _batch_conv(layer: LayerSpec, wb: tuple[np.ndarray, np.ndarray],
         # bounds-checked copy that "raise" makes before writing into `out`
         np.take(a64[:n], idx, axis=1, out=cols[:n], mode="clip")
         np.matmul(cols[:n], w2, out=z[:n])
+        # the bias tiled over oh*ow, so the add runs along one flat axis
+        np.copyto(bias, wb[1])
         zf = z[:n].reshape(n, -1)
-        zf += bias
+        zf += bias.reshape(-1)
         if layer.activation == "relu":
             np.maximum(zf, 0.0, out=zf)
-        out[:n] = z[:n].reshape(n, oh, ow, f)
+        if rounds:
+            out[:n] = z[:n].reshape(n, oh, ow, f)
         return out[:n]
 
+    step.cols = cols  # the chunk's im2col, which training's backward reuses
     return step
 
 
-def _batch_pool(layer: LayerSpec, in_shape: tuple[int, ...], rows: int):
+def _batch_pool(layer: LayerSpec, in_shape: tuple[int, ...], rows: int, out_dtype):
     win = layer.pool_window
     oh, ow = in_shape[0] // win, in_shape[1] // win
-    out = np.empty((rows, oh, ow, in_shape[2]), dtype=np.float32)
+    out = np.empty((rows, oh, ow, in_shape[2]), dtype=out_dtype)
 
     def step(a: np.ndarray) -> np.ndarray:
         o = out[:len(a)]
@@ -453,18 +479,17 @@ def _batch_pool(layer: LayerSpec, in_shape: tuple[int, ...], rows: int):
     return step
 
 
-def _batch_dense(layer: LayerSpec, wb: tuple[np.ndarray, np.ndarray], rows: int):
-    w64 = wb[0].astype(np.float64)
-    b64 = wb[1].astype(np.float64)
+def _batch_dense(layer: LayerSpec, wb: tuple[np.ndarray, np.ndarray], rows: int,
+                 out_dtype):
     a64 = np.empty((rows, 1, layer.prev_units))
     z = np.empty((rows, 1, layer.units))
-    out = np.empty((rows, layer.units), dtype=np.float32)
+    out = np.empty((rows, layer.units), dtype=out_dtype)
 
     def step(a: np.ndarray) -> np.ndarray:
         n = len(a)
         a64[:n, 0] = a
-        zn = np.matmul(a64[:n], w64, out=z[:n])
-        zn += b64
+        zn = np.matmul(a64[:n], wb[0], out=z[:n])
+        zn += wb[1]
         if layer.activation == "relu":
             np.maximum(zn, 0.0, out=zn)
         elif layer.activation == "softmax":
@@ -477,25 +502,24 @@ def _batch_dense(layer: LayerSpec, wb: tuple[np.ndarray, np.ndarray], rows: int)
     return step
 
 
-def _batch_step(layer: LayerSpec, weights: LayerWeights | None,
-                in_shape: tuple[int, ...], rows: int):
+def _batch_step(layer: LayerSpec, wb: tuple[np.ndarray, np.ndarray] | None,
+                in_shape: tuple[int, ...], rows: int, out_dtype):
     """Check `layer` against the shape it receives and build its chunk step."""
     _check_layer_input(layer, in_shape)
     if layer.kind == KIND_INPUT:  # takes the chunk's Tensors
-        buf = np.empty((rows, *in_shape), dtype=np.float32)
+        buf = np.empty((rows, *in_shape), dtype=out_dtype)
         return lambda xs: np.stack([x.array for x in xs], out=buf[:len(xs)])
     if layer.kind == KIND_POOL:
-        return _batch_pool(layer, in_shape, rows)
+        return _batch_pool(layer, in_shape, rows, out_dtype)
     if layer.kind == KIND_FLATTEN:
         return lambda a: a.reshape(len(a), -1)
     if layer.kind not in (KIND_CONV, KIND_DENSE, KIND_SOFTMAX):
         raise Unsupported(f"unknown layer kind {layer.kind!r}")
-    if weights is None:
+    if wb is None:
         raise ShapeMismatch(f"{layer.kind} needs weights")
-    wb = (weights.weight.array, weights.bias.array)
     if layer.kind == KIND_CONV:
-        return _batch_conv(layer, wb, in_shape, rows)
-    return _batch_dense(layer, wb, rows)
+        return _batch_conv(layer, wb, in_shape, rows, out_dtype)
+    return _batch_dense(layer, wb, rows, out_dtype)
 
 
 def forward_batch(model: Model, xs: list[Tensor]) -> list[np.ndarray]:
@@ -512,10 +536,11 @@ def forward_batch(model: Model, xs: list[Tensor]) -> list[np.ndarray]:
     if not xs:
         return []
     rows = min(len(xs), FORWARD_CHUNK)
+    params = _collect_params(model)
     steps = []
     shape = model.spec.input_shape
     for i, layer in enumerate(model.spec.layers):
-        steps.append(_batch_step(layer, model.weights.get(i), shape, rows))
+        steps.append(_batch_step(layer, params.get(i), shape, rows, np.float32))
         shape = layer.out_shape
     outputs: list[np.ndarray] = []
     for start in range(0, len(xs), FORWARD_CHUNK):
@@ -681,6 +706,153 @@ def _conv_backward(layer: LayerSpec, a_prev: np.ndarray, dz: np.ndarray,
     return dw, db, da.reshape(h, w, cin)
 
 
+# --- batched training -------------------------------------------------------------
+#
+# Each `_grad_*` builder allocates one layer's backward buffers for `rows`
+# samples and returns the step (a_prev, a, d) -> (d_prev, grads) that
+# back-propagates a chunk: a_prev and a are the layer's float64 input and
+# output, d the gradient w.r.t. its output (w.r.t. the logits for Softmax).
+# d_prev is None for the first trainable layer, and grads is None for a
+# layer without weights, else each item's (weight, bias) gradient stacked
+# along axis 0. Both are overwritten by the next chunk.
+
+def _grad_dense(layer: LayerSpec, wb: tuple[np.ndarray, np.ndarray], rows: int,
+                input_grad: bool):
+    k, units = layer.prev_units, layer.units
+    relu = layer.activation == "relu"
+    alive = np.empty((rows, units), dtype=bool)
+    dz = np.empty((rows, units))
+    gw = np.empty((rows, k, units))
+    da = np.empty((rows, k, 1))
+
+    def step(a_prev, a, d):
+        n = len(d)
+        if relu:
+            d = np.multiply(d, np.greater(a, 0, out=alive[:n]), out=dz[:n])
+        np.multiply(a_prev[:, :, None], d[:, None, :], out=gw[:n])  # np.outer
+        if not input_grad:
+            return None, (gw[:n], d)
+        np.matmul(wb[0], d[:, :, None], out=da[:n])  # W @ dz, one gemv per item
+        return da[:n, :, 0], (gw[:n], d)
+
+    return step
+
+
+def _grad_conv(layer: LayerSpec, wb: tuple[np.ndarray, np.ndarray],
+               in_shape: tuple[int, ...], cols: np.ndarray, input_grad: bool):
+    h, w, c = in_shape
+    kh, kw, f = layer.kernel_h, layer.kernel_w, layer.filters
+    size, p, k = h * w * c, (h - kh + 1) * (w - kw + 1), kh * kw * c
+    rows = len(cols)
+    relu = layer.activation == "relu"
+    w2 = wb[0].reshape(k, f)
+    alive = np.empty((rows, p, f), dtype=bool)
+    dz = np.empty((rows, p, f))
+    gw = np.empty((rows, k, f))
+    gb = np.empty((rows, f))
+    if input_grad:
+        dcols = np.empty((rows, k, p))
+        # item j's bins shifted past the j earlier items' images
+        bins = (_col2im_index(h, w, c, kh, kw) + np.arange(rows)[:, None] * size).ravel()
+
+    def step(a_prev, a, d):
+        n = len(d)
+        d = d.reshape(n, p, f)
+        if relu:
+            d = np.multiply(d, np.greater(a.reshape(n, p, f), 0, out=alive[:n]), out=dz[:n])
+        np.matmul(cols[:n].transpose(0, 2, 1), d, out=gw[:n])
+        np.sum(d, axis=1, out=gb[:n])
+        grads = (gw[:n].reshape(n, kh, kw, c, f), gb[:n])
+        if not input_grad:
+            return None, grads
+        np.matmul(w2, d.transpose(0, 2, 1), out=dcols[:n])
+        da = np.bincount(bins[: n * k * p], weights=dcols[:n].ravel(), minlength=n * size)
+        return da.reshape(n, h, w, c), grads
+
+    return step
+
+
+def _grad_pool(layer: LayerSpec, in_shape: tuple[int, ...], rows: int):
+    win = layer.pool_window
+    h, w, c = in_shape
+    oh, ow = h // win, w // win
+    base = _pool_base_index(h, w, c, win) + (np.arange(rows) * (h * w * c))[:, None, None, None]
+    hit = np.empty((rows, oh, ow, c), dtype=bool)
+    first = np.empty((rows, oh, ow, c), dtype=np.intp)
+    delta = np.empty_like(first)
+    da = np.empty((rows, h, w, c))
+
+    def step(a_prev, a, d):
+        # _pool_backward's routing; first = where(hit, offset, first) runs
+        # as integer arithmetic, about 3x faster than a masked copyto
+        n = len(d)
+        at = first[:n]
+        at.fill(((win - 1) * w + win - 1) * c)
+        for k in range(win * win - 2, -1, -1):
+            di, dj = divmod(k, win)
+            window = a_prev[:, di : oh * win : win, dj : ow * win : win]
+            np.subtract(at, (di * w + dj) * c, out=delta[:n])
+            np.multiply(delta[:n], np.equal(window, a, out=hit[:n]), out=delta[:n])
+            at -= delta[:n]
+        at += base[:n]
+        da[:n] = 0.0
+        da.reshape(-1)[at] = d
+        return da[:n], None
+
+    return step
+
+
+def _grad_step(layer: LayerSpec, wb: tuple[np.ndarray, np.ndarray] | None,
+               in_shape: tuple[int, ...], rows: int, input_grad: bool, forward_step):
+    if layer.kind == KIND_CONV:
+        return _grad_conv(layer, wb, in_shape, forward_step.cols, input_grad)
+    if layer.kind == KIND_POOL:
+        return _grad_pool(layer, in_shape, rows)
+    if layer.kind == KIND_FLATTEN:
+        return lambda a_prev, a, d: (d.reshape(a_prev.shape), None)
+    return _grad_dense(layer, wb, rows, input_grad)
+
+
+def _train_pass(spec: ModelSpec, params: dict, rows: int):
+    """The batched forward and backward pass of up to `rows` samples.
+
+    Returns run(xs, labels) -> (acts, grads) for a chunk of Tensors: acts[i]
+    is layer i's float64 output and grads[i] each item's (weight, bias)
+    gradient, in _backward's key order, each stacked along axis 0. Both equal
+    _forward_acts and _backward item by item, bit for bit, and are views of
+    work buffers that the next call overwrites. `params` is read at every
+    call, so it may be updated in place between calls.
+    """
+    first = min(params)
+    forward, backward = [], {}
+    shape = spec.input_shape
+    for i, layer in enumerate(spec.layers):
+        forward.append(_batch_step(layer, params.get(i), shape, rows, np.float64))
+        if i >= first:
+            backward[i] = _grad_step(layer, params.get(i), shape, rows, i > first,
+                                     forward[-1])
+        shape = layer.out_shape
+    top = np.empty((rows, shape[0]))
+
+    def run(xs: list[Tensor], labels: list[int]):
+        n = len(xs)
+        acts, a = [], xs
+        for step in forward:
+            a = step(a)
+            acts.append(a)
+        d = top[:n]
+        d[...] = a  # probs - onehot: the loss gradient w.r.t. the logits
+        d[np.arange(n), labels] -= 1.0
+        grads = {}
+        for i in range(len(spec.layers) - 1, first - 1, -1):
+            d, g = backward[i](acts[i - 1], acts[i], d)
+            if g is not None:
+                grads[i] = g
+        return acts, grads
+
+    return run
+
+
 def train_model(model: Model, images: list[Tensor], labels: list[int], *,
                 epochs: int, learning_rate: float, batch_size: int,
                 seed: int, clip_norm: float | None = None) -> tuple[Model, list[float]]:
@@ -710,6 +882,8 @@ def train_model(model: Model, images: list[Tensor], labels: list[int], *,
         raise ValueError("batch_size must be >= 1")
 
     trained = model.copy()
+    params = _collect_params(trained)
+    run = _train_pass(trained.spec, params, min(len(images), batch_size, FORWARD_CHUNK))
     rng = SplitMix64(seed)
     lr = np.float32(learning_rate)
     history: list[float] = []
@@ -719,19 +893,23 @@ def train_model(model: Model, images: list[Tensor], labels: list[int], *,
         batch_losses: list[float] = []
         for start in range(0, len(order), batch_size):
             batch = order[start:start + batch_size]
-            params = _collect_params(trained)
             acc: dict[int, tuple[np.ndarray, np.ndarray]] = {}
             loss_sum = 0.0
-            for idx in batch:
-                x = images[idx].array.astype(np.float64)
-                acts = _forward_acts(trained.spec, params, x, np.float64)
-                loss_sum += _loss_from_probs(acts[-1], labels[idx])
-                grads = _backward(trained.spec, params, x, acts, labels[idx])
+            for chunk_start in range(0, len(batch), FORWARD_CHUNK):
+                chunk = batch[chunk_start:chunk_start + FORWARD_CHUNK]
+                chunk_labels = [labels[idx] for idx in chunk]
+                acts, grads = run([images[idx] for idx in chunk], chunk_labels)
+                for probs, label in zip(acts[-1], chunk_labels):
+                    loss_sum += _loss_from_probs(probs, label)
+                # the fold acc + g in sample order, from the first gradient
                 for i, (gw, gb) in grads.items():
-                    if i in acc:
-                        acc[i] = (acc[i][0] + gw, acc[i][1] + gb)
-                    else:
-                        acc[i] = (gw, gb)
+                    if i not in acc:
+                        acc[i] = (gw[0].copy(), gb[0].copy())
+                        gw, gb = gw[1:], gb[1:]
+                    aw, ab = acc[i]
+                    for item_w, item_b in zip(gw, gb):
+                        np.add(aw, item_w, out=aw)
+                        np.add(ab, item_b, out=ab)
             scale = 1.0 / len(batch)
             if clip_norm is not None:
                 sq = sum(float(np.sum((gw * scale) ** 2) + np.sum((gb * scale) ** 2))
@@ -743,6 +921,8 @@ def train_model(model: Model, images: list[Tensor], labels: list[int], *,
                 lw = trained.weights[i]
                 lw.weight = Tensor(lw.weight.array - lr * (gw * scale).astype(np.float32))
                 lw.bias = Tensor(lw.bias.array - lr * (gb * scale).astype(np.float32))
+                np.copyto(params[i][0], lw.weight.array)
+                np.copyto(params[i][1], lw.bias.array)
             batch_losses.append(loss_sum / len(batch))
         history.append(sum(batch_losses) / len(batch_losses))
     return trained, history

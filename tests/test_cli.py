@@ -448,6 +448,11 @@ def _made_dir(path: Path) -> Path:
     return path
 
 
+def _made_file(path: Path) -> Path:
+    path.write_text("kept\n")
+    return path
+
+
 def _same_stem(inputs: Path) -> list[Path]:
     """Two scenario files, a/fleet.json and b/fleet.json, of one stem."""
     paths = []
@@ -496,6 +501,16 @@ def _same_stem(inputs: Path) -> list[Path]:
         ["train", "--out", out / "w.json", "--history", _made_dir(out / "hdir")], 2,
         f"error: cannot write {out / 'hdir'}: Is a directory"),
         id="train-history-is-a-directory"),
+    pytest.param(lambda inputs, out: (
+        ["gen-corpus", "--per-class", 1, "--out", _made_file(out / "afile")], 2,
+        f"error: cannot write {out / 'afile' / 'images'}: Not a directory"),
+        id="gen-corpus-out-is-a-file"),
+    pytest.param(lambda inputs, out: (
+        ["simulate", "--scenario", cli.data_path("scenarios", "demo_fleet.json"),
+         cli.data_path("scenarios", "reference_fleet.json"), "--nodes", 3,
+         "--out", _made_file(out / "afile")], 2,
+        f"error: cannot write {out / 'afile'}: Not a directory"),
+        id="simulate-scenarios-out-is-a-file"),
 ])
 def test_failing_command_writes_nothing(case, small_corpus, tiny_weights, tmp_path,
                                         monkeypatch, capsys):
@@ -520,6 +535,7 @@ def test_failing_command_writes_nothing(case, small_corpus, tiny_weights, tmp_pa
     assert err.startswith(error)
     assert "Traceback" not in err
     assert sorted(out.rglob("*")) == before
+    assert all(path.read_text() == "kept\n" for path in out.rglob("afile"))
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -328,8 +329,9 @@ def test_im2col_index_cached_read_only():
 #
 # The references are the earlier kernels: col2im as a loop of slice adds over
 # the kernel offsets, pool backward through a reshape, transpose, argmax and
-# put_along_axis. The fast kernels must match them bit for bit in float64,
-# the training precision.
+# put_along_axis. The fast kernels, per sample and batched, must match them
+# bit for bit in float64, the training precision. The batched steps run on
+# the stack of _tie_inputs, with one spare row in their buffers.
 
 def _ref_conv_backward(layer, a_prev, dz, weight):
     kh, kw, f = layer.kernel_h, layer.kernel_w, layer.filters
@@ -383,7 +385,12 @@ def test_conv_backward_matches_reference_bits(c):
                 oh, ow = h - kh + 1, w - kw + 1
                 layer = cnn.LayerSpec("Conv", kernel_h=kh, kernel_w=kw, filters=f)
                 wt = _draws((kh, kw, c, f), seed + 1000, np.float64)
-                for name, a in _tie_inputs((h, w, c), seed).items():
+                inputs = _tie_inputs((h, w, c), seed)
+                wb = (wt, np.zeros(f))
+                forward = cnn._batch_conv(layer, wb, (h, w, c), len(inputs) + 1, np.float64)
+                batched = cnn._grad_conv(layer, wb, (h, w, c), forward.cols, True)
+                stack, dzs, wants = np.stack(list(inputs.values())), [], []
+                for name, a in inputs.items():
                     # a ReLU'd gradient carries exact zeros, as training's does
                     dz = _draws((oh, ow, f), seed + 2000, np.float64)
                     if name != "random":
@@ -396,6 +403,12 @@ def test_conv_backward_matches_reference_bits(c):
                     assert da is None
                     _assert_same_bits(dw, want[0])
                     _assert_same_bits(db, want[1])
+                    dzs.append(dz)
+                    wants.append(want)
+                da, (dw, db) = batched(stack, forward(stack), np.stack(dzs))
+                for item, want in enumerate(wants):
+                    for g, r in zip((dw[item], db[item], da[item]), want):
+                        _assert_same_bits(g, r)
 
 
 @pytest.mark.parametrize("c", [1, 3, 8])
@@ -405,13 +418,18 @@ def test_pool_backward_matches_reference_bits(c):
         for win in (1, 2, 3):
             seed += 1
             layer = cnn.LayerSpec("Pool", pool_window=win)
-            for a in _tie_inputs((h, w, c), seed).values():
-                out = cnn._apply_pool(layer, a)
-                # -max(x, 0) carries negative zeros: a sign slip shows in the bits
-                for d in (_draws(out.shape, seed + 1000, np.float64),
-                          -np.maximum(_draws(out.shape, seed + 2000, np.float64), 0.0)):
+            inputs = list(_tie_inputs((h, w, c), seed).values())
+            batched = cnn._grad_pool(layer, (h, w, c), len(inputs) + 1)
+            outs = [cnn._apply_pool(layer, a) for a in inputs]
+            # -max(x, 0) carries negative zeros: a sign slip shows in the bits
+            for d in (_draws(outs[0].shape, seed + 1000, np.float64),
+                      -np.maximum(_draws(outs[0].shape, seed + 2000, np.float64), 0.0)):
+                for a, out in zip(inputs, outs):
                     _assert_same_bits(cnn._pool_backward(layer, a, out, d),
                                       _ref_pool_backward(win, a, d))
+                da, _ = batched(np.stack(inputs), np.stack(outs), np.stack([d] * len(inputs)))
+                for item, a in enumerate(inputs):
+                    _assert_same_bits(da[item], _ref_pool_backward(win, a, d))
 
 
 # --- finiteness checks ---
@@ -690,6 +708,161 @@ def test_train_is_deterministic(tiny_spec):
                               t2.weights[i].weight.array)
 
 
+# --- batched training ---
+#
+# train_model runs each minibatch through cnn._train_pass, FORWARD_CHUNK
+# samples at a time. The per-sample _forward_acts and _backward are its
+# oracle, item by item and bit for bit.
+
+def _dead_relu_model() -> cnn.Model:
+    """Dense unit 0 never fires on positive inputs, and with every label 0 its
+    output gradient is negative, so its bias gradient is -0.0 for every item.
+    Its bias is -0.0 too: only the fold acc + g keeps the -0.0 sum that turns
+    it into +0.0 at the first update; a sum from +0.0 would leave it -0.0."""
+    model = cnn.build_model(cnn.ModelSpec((2, 1, 1), (
+        cnn.LayerSpec("Input"),
+        cnn.LayerSpec("Flatten"),
+        cnn.LayerSpec("Dense", units=2, activation="relu"),
+        cnn.LayerSpec("Softmax", units=2),
+    )), 6)
+    dense, top = model.weights[2], model.weights[3]
+    dense.weight = cnn.Tensor(np.array([[-1.0, 0.5], [-1.0, 0.25]], dtype=np.float32))
+    dense.bias = cnn.Tensor(np.array([-0.0, 0.1], dtype=np.float32))
+    top.weight = cnn.Tensor(np.array([[1.0, -1.0], [0.5, 0.25]], dtype=np.float32))
+    return model
+
+
+def _train_inputs(shape, count, seed, lo, hi):
+    """Every other input is one value throughout, so that every pool window
+    after a conv holds ties, and the first-maximum routing decides."""
+    xs = [rand_tensor(shape, seed + i, lo, hi) for i in range(count)]
+    return [cnn.Tensor(np.full(shape, x.array.flat[0])) if i % 2 else x
+            for i, x in enumerate(xs)]
+
+
+def _train_case(name, default_spec, tiny_spec):
+    """(model, a function drawing that many inputs and their labels) for a
+    named case."""
+    specs = {
+        "default": default_spec,
+        "tiny": tiny_spec,
+        # f = 1 convs, one with an input gradient, and a ragged 3x3 pool
+        "one-filter": cnn.ModelSpec((9, 9, 2), (
+            cnn.LayerSpec("Input"),
+            cnn.LayerSpec("Conv", kernel_w=3, kernel_h=3, filters=1, activation="relu"),
+            cnn.LayerSpec("Pool", pool_window=3),
+            cnn.LayerSpec("Conv", kernel_w=2, kernel_h=1, filters=1),
+            cnn.LayerSpec("Flatten"),
+            cnn.LayerSpec("Softmax", units=3))),
+        "pool-first": cnn.ModelSpec((6, 6, 1), (
+            cnn.LayerSpec("Input"),
+            cnn.LayerSpec("Pool", pool_window=2),
+            cnn.LayerSpec("Conv", kernel_w=2, kernel_h=2, filters=2, activation="relu"),
+            cnn.LayerSpec("Flatten"),
+            cnn.LayerSpec("Softmax", units=3))),
+        "dense-first": cnn.ModelSpec((3, 2, 1), (
+            cnn.LayerSpec("Input"),
+            cnn.LayerSpec("Flatten"),
+            cnn.LayerSpec("Dense", units=4),
+            cnn.LayerSpec("Softmax", units=3))),
+    }
+    if name == "dead-relu":
+        model = _dead_relu_model()
+        return model, lambda count: (
+            _train_inputs((2, 1, 1), count, 60, 0.5, 1.0), [0] * count)
+    model = cnn.build_model(specs[name], 8)
+    classes = model.spec.layers[-1].units
+    return model, lambda count: (
+        _train_inputs(model.spec.input_shape, count, 70, -1.0, 1.0),
+        [i % classes for i in range(count)])
+
+
+_TRAIN_CASES = ("default", "tiny", "one-filter", "pool-first", "dense-first", "dead-relu")
+
+
+@pytest.mark.parametrize("name", _TRAIN_CASES)
+@pytest.mark.parametrize("count", [1, cnn.FORWARD_CHUNK - 1, cnn.FORWARD_CHUNK,
+                                   cnn.FORWARD_CHUNK + 1, 2 * cnn.FORWARD_CHUNK + 1])
+def test_train_pass_matches_per_sample_bits(default_spec, tiny_spec, name, count):
+    model, draw = _train_case(name, default_spec, tiny_spec)
+    xs, labels = draw(count)
+    params = cnn._collect_params(model)
+    run = cnn._train_pass(model.spec, params, min(count, cnn.FORWARD_CHUNK))
+    for start in range(0, count, cnn.FORWARD_CHUNK):
+        chunk = range(start, min(count, start + cnn.FORWARD_CHUNK))
+        acts, grads = run([xs[k] for k in chunk], [labels[k] for k in chunk])
+        for item, k in enumerate(chunk):
+            x = xs[k].array.astype(np.float64)
+            want_acts = cnn._forward_acts(model.spec, params, x, np.float64)
+            want = cnn._backward(model.spec, params, x, want_acts, labels[k])
+            for got, ref in zip(acts, want_acts, strict=True):
+                _assert_same_bits(got[item], ref)
+            assert (cnn._loss_from_probs(acts[-1][item], labels[k])
+                    == cnn._loss_from_probs(want_acts[-1], labels[k]))
+            assert list(grads) == list(want)
+            for i, (gw, gb) in want.items():
+                _assert_same_bits(grads[i][0][item], gw)
+                _assert_same_bits(grads[i][1][item], gb)
+        if name == "dead-relu":
+            assert np.signbit(grads[2][1][:, 0]).all() and not grads[2][1][:, 0].any()
+
+
+def _reference_train(model, images, labels, *, epochs, learning_rate, batch_size,
+                     seed, clip_norm=None):
+    """train_model one sample at a time: _forward_acts and _backward per
+    sample, gradients folded as acc + g in sample order."""
+    trained, rng, history = model.copy(), SplitMix64(seed), []
+    lr = np.float32(learning_rate)
+    for _ in range(epochs):
+        order = list(range(len(images)))
+        rng.shuffle(order)
+        losses = []
+        for start in range(0, len(order), batch_size):
+            batch = order[start:start + batch_size]
+            params = cnn._collect_params(trained)
+            acc, loss_sum = {}, 0.0
+            for idx in batch:
+                x = images[idx].array.astype(np.float64)
+                acts = cnn._forward_acts(trained.spec, params, x, np.float64)
+                loss_sum += cnn._loss_from_probs(acts[-1], labels[idx])
+                for i, (gw, gb) in cnn._backward(trained.spec, params, x, acts,
+                                                 labels[idx]).items():
+                    acc[i] = (acc[i][0] + gw, acc[i][1] + gb) if i in acc else (gw, gb)
+            scale = 1.0 / len(batch)
+            if clip_norm is not None:
+                norm = math.sqrt(sum(float(np.sum((gw * scale) ** 2) + np.sum((gb * scale) ** 2))
+                                     for gw, gb in acc.values()))
+                if norm > clip_norm:
+                    scale *= clip_norm / norm
+            for i, (gw, gb) in acc.items():
+                lw = trained.weights[i]
+                lw.weight = cnn.Tensor(lw.weight.array - lr * (gw * scale).astype(np.float32))
+                lw.bias = cnn.Tensor(lw.bias.array - lr * (gb * scale).astype(np.float32))
+            losses.append(loss_sum / len(batch))
+        history.append(sum(losses) / len(losses))
+    return trained, history
+
+
+@pytest.mark.parametrize("name", ["default", "tiny", "dead-relu"])
+@pytest.mark.parametrize("batch_size, count", [
+    (1, 20), (5, 45), (cnn.FORWARD_CHUNK, 45), (cnn.FORWARD_CHUNK + 1, 45), (40, 45),
+    pytest.param(cnn.FORWARD_CHUNK, 7, id="corpus-below-one-chunk")])
+def test_train_matches_per_sample_reference(default_spec, tiny_spec, name, batch_size,
+                                            count):
+    model, draw = _train_case(name, default_spec, tiny_spec)
+    images, labels = draw(count)
+    kwargs = dict(epochs=2, learning_rate=0.1, batch_size=batch_size, seed=11,
+                  clip_norm=0.5 if name == "default" else None)
+    trained, history = cnn.train_model(model, images, labels, **kwargs)
+    want, want_history = _reference_train(model, images, labels, **kwargs)
+    assert history == want_history
+    for i, lw in want.weights.items():
+        _assert_same_bits(trained.weights[i].weight.array, lw.weight.array)
+        _assert_same_bits(trained.weights[i].bias.array, lw.bias.array)
+    if name == "dead-relu":  # the -0.0 bias became +0.0, as the fold has it
+        assert not np.signbit(trained.weights[2].bias.array[0])
+
+
 # --- gradient checking ---
 
 def scaled_model(spec: cnn.ModelSpec, seed: int, factor: float = 8.0) -> cnn.Model:
@@ -750,10 +923,26 @@ def test_backward_grads_every_trainable_layer(default_spec, tiny_spec):
             assert gb.shape == model.weights[i].bias.shape
 
 
-def test_training_pass_writes_no_input(default_spec, tiny_spec):
+def test_training_pass_writes_no_input(default_spec, tiny_spec, monkeypatch):
     # Input and Flatten hand on views in float64, and the conv and dense
     # kernels add biases in place: no pass may write through to an array
-    # it did not allocate.
+    # it did not allocate. And train_model hands back fresh weights: none of
+    # them is, or views, a work buffer that its pass's next call overwrites.
+    buffers = []
+    build = cnn._train_pass
+
+    def recording(spec, params, rows):
+        buffers.extend(array for pair in params.values() for array in pair)
+        run = build(spec, params, rows)
+
+        def recorded(xs, labels):
+            acts, grads = run(xs, labels)
+            buffers.extend(acts[1:])
+            buffers.extend(array for pair in grads.values() for array in pair)
+            return acts, grads
+
+        return recorded
+
     for spec, seed in ((default_spec, 42), (tiny_spec, 4)):
         model = cnn.build_model(spec, seed)
         params = cnn._collect_params(model)
@@ -775,6 +964,30 @@ def test_training_pass_writes_no_input(default_spec, tiny_spec):
         assert len(acts) == len(want)
         for got, ref in zip(acts, want):
             _assert_same_bits(got, ref)
+
+        # the batched pass, over two chunks
+        images = [rand_tensor(spec.input_shape, seed + i) for i in range(cnn.FORWARD_CHUNK + 3)]
+        labels = [i % model.spec.layers[-1].units for i in range(len(images))]
+        saved_images = [x.array.copy() for x in images]
+        run = cnn._train_pass(model.spec, params, cnn.FORWARD_CHUNK)
+        for start in range(0, len(images), cnn.FORWARD_CHUNK):
+            run(images[start:start + cnn.FORWARD_CHUNK], labels[start:start + cnn.FORWARD_CHUNK])
+        for x, before in zip(images, saved_images):
+            _assert_same_bits(x.array, before)
+        for i, (w, b) in params.items():
+            _assert_same_bits(w, saved_params[i][0])
+            _assert_same_bits(b, saved_params[i][1])
+
+        monkeypatch.setattr(cnn, "_train_pass", recording)
+        buffers.clear()
+        trained, _ = cnn.train_model(model, images, labels, epochs=2, learning_rate=0.1,
+                                     batch_size=len(images), seed=seed)
+        monkeypatch.undo()
+        assert buffers
+        roots = [b if b.base is None else b.base for b in buffers]
+        for lw in trained.weights.values():
+            for array in (lw.weight.array, lw.bias.array):
+                assert not any(np.shares_memory(array, root) for root in roots)
 
 
 def test_layer_forward_writes_no_input(default_spec):
