@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import cnn, features, partitioning, resources, simulation
-from .errors import EdgemalError, ShapeMismatch
+from .errors import EdgemalError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,24 +112,21 @@ def _load(path, parse, *args, json_doc: bool = True):
     or, with `json_doc=False`, `parse(path, *args)` for a library reader that
     opens the file itself (the traces CSV, the corpus images).
 
-    The CLI reads every input here. A file that cannot be read, and any
+    The CLI reads every input here. A file that cannot be read is a
+    configuration error, as is any domain error of the reader (a spec whose
+    layers do not chain, weights that do not fit it, a bad PGM header) and any
     KeyError, IndexError, TypeError, ValueError or AttributeError (a value of
-    the wrong JSON type) from decoding or parsing, is a configuration error,
-    as is a ShapeMismatch from a library reader (a bad PGM header, a CSV
-    without its header row); other domain errors pass through.
+    the wrong JSON type) from decoding or parsing.
     """
     try:
         if not json_doc:
-            try:
-                return parse(path, *args)
-            except ShapeMismatch as exc:
-                raise _ConfigError(f"malformed {path}: {exc}") from exc
+            return parse(path, *args)
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         return parse(doc, *args)
     except OSError as exc:
         raise _ConfigError(f"cannot read {path}: {exc.strerror}") from exc
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (EdgemalError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise _ConfigError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
 
 

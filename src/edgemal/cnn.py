@@ -271,20 +271,20 @@ def build_model(spec: ModelSpec, seed: int) -> Model:
     rspec = resolve_spec(spec)
     rng = SplitMix64(seed)
     weights: dict[int, LayerWeights] = {}
-    for i, layer in enumerate(rspec.layers):
-        if layer.kind == KIND_CONV:
-            w_shape = (layer.kernel_h, layer.kernel_w, layer.in_channels, layer.filters)
-            b_len = layer.filters
-        elif layer.kind in (KIND_DENSE, KIND_SOFTMAX):
-            w_shape = (layer.prev_units, layer.units)
-            b_len = layer.units
-        else:
-            continue
-        w = rng.uniforms(int(np.prod(w_shape)), -WEIGHT_INIT_SPAN, WEIGHT_INIT_SPAN)
-        b = rng.uniforms(b_len, -WEIGHT_INIT_SPAN, WEIGHT_INIT_SPAN)
+    for i, (w_shape, b_shape) in _param_shapes(rspec).items():
+        w = rng.uniforms(math.prod(w_shape), -WEIGHT_INIT_SPAN, WEIGHT_INIT_SPAN)
+        b = rng.uniforms(math.prod(b_shape), -WEIGHT_INIT_SPAN, WEIGHT_INIT_SPAN)
         weights[i] = LayerWeights(Tensor(w.astype(np.float32).reshape(w_shape)),
                                   Tensor(b.astype(np.float32)))
     return Model(rspec, weights)
+
+
+def _param_shapes(rspec: ModelSpec) -> dict:
+    """Layer index -> (weight shape, bias shape) of each layer with parameters."""
+    return {i: ((ly.kernel_h, ly.kernel_w, ly.in_channels, ly.filters)
+                if ly.kind == KIND_CONV else (ly.prev_units, ly.units), ly.out_shape[-1:])
+            for i, ly in enumerate(rspec.layers)
+            if ly.kind in (KIND_CONV, KIND_DENSE, KIND_SOFTMAX)}
 
 
 # --- layer application -------------------------------------------------------
@@ -988,7 +988,7 @@ def spec_from_json(doc: dict) -> ModelSpec:
                   activation=entry.get("activation", "none"),
                   **{name: entry.get(name) for name in _SPEC_FIELDS})
         for entry in doc["layers"])
-    return ModelSpec(tuple(doc["input_shape"]), layers)
+    return resolve_spec(ModelSpec(tuple(doc["input_shape"]), layers))
 
 
 def load_spec(path) -> ModelSpec:
@@ -1008,11 +1008,18 @@ def weights_to_json(model: Model) -> dict:
 
 
 def weights_from_json(doc: dict, spec: ModelSpec) -> Model:
-    """Rebuild a Model from serialized weights; exact at float32 precision."""
+    """Rebuild a Model from serialized weights; exact at float32 precision.
+    Raises ShapeMismatch unless the layers and shapes are the spec's."""
     rspec = resolve_spec(spec)
+    shapes = {str(i): shape for i, shape in _param_shapes(rspec).items()}
+    if set(doc["layers"]) != set(shapes):
+        raise ShapeMismatch(f"weights for layers {sorted(doc['layers'])}, not {sorted(shapes)}")
     weights: dict[int, LayerWeights] = {}
-    for key, entry in doc["layers"].items():
-        w = np.asarray(entry["weight"], dtype=np.float32).reshape(entry["weight_shape"])
+    for key, (w_shape, b_shape) in shapes.items():
+        entry = doc["layers"][key]
+        w = np.asarray(entry["weight"], dtype=np.float32).reshape(w_shape)
         b = np.asarray(entry["bias"], dtype=np.float32)
+        if tuple(entry["weight_shape"]) != w_shape or b.shape != b_shape:
+            raise ShapeMismatch(f"layer {key} needs a {w_shape} weight and a {b_shape} bias")
         weights[int(key)] = LayerWeights(Tensor(w), Tensor(b))
     return Model(rspec, weights)

@@ -76,7 +76,7 @@ class InvalidPlacement(EdgemalError):
 
 
 class InvalidFault(EdgemalError):
-    """A fault event targets the parent or an unknown node, or has negative time."""
+    """A fault event targets the parent or an unknown node, or its time is not >= 0."""
 
 
 class UnroutableTransfer(EdgemalError):

@@ -17,13 +17,22 @@ from .errors import (
     InfeasiblePartition,
     InsufficientResources,
     NoRoute,
-    ShapeMismatch,
 )
 
 # probe size used to price one transfer on a link when ordering candidates
 COMM_PROBE_BYTES = 1 << 20
 
 ACTIVATION_BYTES = 4  # float32 elements crossing a cut
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer field: an int, or a float with an integral value. A bool,
+    a string or a fraction raises ValueError instead of being truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _check_node_ids(ids) -> None:
@@ -49,7 +58,7 @@ class NodeProfile:
             raise ValueError(f"node {self.id}: mem_free_bytes must be >= 0")
         if not 0.0 <= self.workload_frac <= 1.0:
             raise ValueError(f"node {self.id}: workload_frac must be in [0, 1]")
-        if self.speed_flops_per_sec <= 0.0:
+        if not self.speed_flops_per_sec > 0.0:
             raise ValueError(f"node {self.id}: speed must be positive")
         if not isinstance(self.online, bool):
             raise ValueError(f"node {self.id}: online must be true or false")
@@ -68,9 +77,9 @@ class LinkProfile:
     bandwidth_bytes_per_sec: float
 
     def __post_init__(self) -> None:
-        if self.latency_sec < 0.0:
+        if not self.latency_sec >= 0.0:
             raise ValueError(f"link {self.a}-{self.b}: latency must be >= 0")
-        if self.bandwidth_bytes_per_sec <= 0.0:
+        if not self.bandwidth_bytes_per_sec > 0.0:
             raise ValueError(f"link {self.a}-{self.b}: bandwidth must be positive")
 
     def transfer_sec(self, n_bytes: int) -> float:
@@ -88,7 +97,7 @@ class NetworkScenario:
     max_nodes: int = 4
 
     def __post_init__(self) -> None:
-        if self.radius_r < 0.0:
+        if not self.radius_r >= 0.0:
             raise ValueError("radius_r must be >= 0")
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
@@ -260,10 +269,7 @@ def validate_placement(placement: Placement, network: NetworkScenario,
     Returns every violation found; an empty list means the placement is ok.
     """
     violations: list[Violation] = []
-    try:
-        per_layer = resources.layer_bytes(spec, bytes_per_param=bytes_per_param)
-    except ShapeMismatch as exc:
-        return [Violation("BadSpec", str(exc))]
+    per_layer = resources.layer_bytes(spec, bytes_per_param=bytes_per_param)
     n_layers = len(per_layer)
 
     if not placement.assignments:
@@ -349,7 +355,7 @@ def scenario_from_json(doc: dict) -> NetworkScenario:
     nodes = [
         NodeProfile(
             id=entry["id"],
-            mem_free_bytes=int(entry["mem_free_bytes"]),
+            mem_free_bytes=_integer(entry["mem_free_bytes"], "mem_free_bytes"),
             speed_flops_per_sec=float(entry["speed_flops_per_sec"]),
             workload_frac=float(entry.get("workload_frac", 0.0)),
             position=tuple(entry.get("position", (0.0, 0.0))),
@@ -367,7 +373,7 @@ def scenario_from_json(doc: dict) -> NetworkScenario:
         for entry in doc["links"]
     ]
     return NetworkScenario(nodes, links, float(doc["radius_r"]),
-                           doc["parent_id"], int(doc.get("max_nodes", 4)))
+                           doc["parent_id"], _integer(doc.get("max_nodes", 4), "max_nodes"))
 
 
 def placement_to_json(placement: Placement) -> dict:
@@ -382,8 +388,10 @@ def placement_to_json(placement: Placement) -> dict:
 
 
 def placement_from_json(doc: dict) -> Placement:
-    assignments = [(entry["node_id"], (int(entry["layers"][0]), int(entry["layers"][1])))
+    assignments = [(entry["node_id"], (_integer(entry["layers"][0], "layers"),
+                                       _integer(entry["layers"][1], "layers")))
                    for entry in doc["assignments"]]
     _check_node_ids([doc["parent_id"], *(node_id for node_id, _ in assignments)])
-    return Placement(assignments, [int(v) for v in doc.get("cut_bytes", [])],
+    return Placement(assignments,
+                     [_integer(v, "cut_bytes") for v in doc.get("cut_bytes", [])],
                      doc["parent_id"])

@@ -269,8 +269,13 @@ def regressor_from_json(doc: dict) -> RegressorModel:
         np.asarray(doc["mean"], dtype=np.float64),
         np.asarray(doc["std"], dtype=np.float64),
     )
-    n = len(reg.feature_names)
+    if reg.feature_names != FEATURE_NAMES:
+        raise ValueError(f"regressor features must be {list(FEATURE_NAMES)}")
+    n = len(FEATURE_NAMES)
     if reg.beta.shape != (n + 1,) or reg.mean.shape != (n,) or reg.std.shape != (n,):
         raise ValueError("regressor needs a mean, a std and a weight per feature,"
                          " plus a bias")
+    if not (np.isfinite(np.concatenate([reg.beta, reg.mean, reg.std])).all()
+            and (reg.std > 0.0).all()):
+        raise ValueError("regressor values must be finite, and each std > 0")
     return reg

@@ -135,7 +135,8 @@ def schedule(scenario: NetworkScenario, placement: Placement, spec: cnn.ModelSpe
 
     A failed stage runs on the parent, with its compute charged at the
     parent's effective speed. An invalid placement raises InvalidPlacement,
-    a fault on an unknown node, on the parent or before time 0 InvalidFault.
+    a fault on an unknown node, on the parent or at a time that is not >= 0
+    (a negative or NaN time) InvalidFault.
     """
     violations = validate_placement(placement, scenario, spec,
                                     bytes_per_param=bytes_per_param)
@@ -149,7 +150,7 @@ def schedule(scenario: NetworkScenario, placement: Placement, spec: cnn.ModelSpe
             raise InvalidFault(f"fault on unknown node {fault.node_id!r}")
         if fault.node_id == parent_id:
             raise InvalidFault("the parent node cannot be the fault target")
-        if fault.time_sec < 0.0:
+        if not fault.time_sec >= 0.0:
             raise InvalidFault("fault time must be >= 0")
         fault_time[fault.node_id] = min(fault_time.get(fault.node_id, fault.time_sec),
                                         fault.time_sec)

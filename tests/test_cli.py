@@ -766,6 +766,18 @@ def _write_inputs(root: Path, docs: dict) -> dict:
 
 
 _FEATURES = list(resources.FEATURE_NAMES)
+_REGRESSOR = read_json(cli.data_path("trained", "default_regressor.json"))
+_NAN = float("nan")
+
+
+def _add_layer(key, source):
+    """A weights mutation: a copy with entry `key` added as a copy of the
+    entry `source`."""
+    def mutate(doc):
+        doc = copy.deepcopy(doc)
+        doc["layers"][key] = doc["layers"][source]
+        return doc
+    return mutate
 _REPORT_OK = {"parent_id": "p", "total_latency_max_sec": 1.0,
               "total_latency_pipeline_sec": 1.0, "per_node": {},
               "outputs": [[0.9, 0.1]], "predictions": [0], "input_labels": [0]}
@@ -803,8 +815,42 @@ _REPORT_OK = {"parent_id": "p", "total_latency_max_sec": 1.0,
                  "report", id="report-no-latency"),
     pytest.param("spec", _set(("input_shape",), _DROP), "simulate",
                  id="spec-no-input-shape"),
+    pytest.param("spec", _set(("layers", 2, "kind"), "Dropout"), "simulate",
+                 id="spec-unknown-kind"),
+    pytest.param("spec", _set(("layers", 1, "filters"), 0), "simulate",
+                 id="spec-filters-0"),
+    pytest.param("spec", _set(("layers", 10), _DROP), "simulate",
+                 id="spec-no-softmax"),
     pytest.param("weights", _set(("layers", "1", "weight_shape"), _DROP), "simulate",
                  id="weights-no-weight-shape"),
+    pytest.param("weights", _set(("layers", "9"), _DROP), "simulate",
+                 id="weights-missing-layer"),
+    pytest.param("weights", _add_layer("99", "9"), "simulate",
+                 id="weights-extra-layer"),
+    pytest.param("weights", _set(("layers", "1", "bias", 7), _DROP), "simulate",
+                 id="weights-short-bias"),
+    pytest.param("weights", _set(("layers", "1", "weight_shape"), [72, 1]), "simulate",
+                 id="weights-shape-72x1"),
+    pytest.param("weights", _add_layer("2", "1"), "simulate",
+                 id="weights-pool-layer"),
+    pytest.param("weights", _set(("layers", "1", "weight", 0), _NAN), "simulate",
+                 id="weights-nan-element"),
+    pytest.param("scenario", _set(("links", 0, "bandwidth_bytes_per_sec"), _NAN),
+                 "partition", id="scenario-nan-bandwidth"),
+    pytest.param("scenario", _set(("links", 0, "latency_sec"), _NAN), "partition",
+                 id="scenario-nan-latency"),
+    pytest.param("scenario", _set(("nodes", 1, "speed_flops_per_sec"), _NAN),
+                 "partition", id="scenario-nan-speed"),
+    pytest.param("scenario", _set(("radius_r",), _NAN), "partition",
+                 id="scenario-nan-radius"),
+    pytest.param("scenario", _set(("nodes", 1, "mem_free_bytes"), 1.9), "partition",
+                 id="scenario-fractional-mem"),
+    pytest.param("scenario", _set(("max_nodes",), 2.7), "partition",
+                 id="scenario-fractional-max-nodes"),
+    pytest.param("scenario", _set(("max_nodes",), True), "partition",
+                 id="scenario-bool-max-nodes"),
+    pytest.param("placement", _set(("assignments", 0, "layers"), [0.5, 1]), "simulate",
+                 id="placement-fractional-layer"),
     pytest.param("report", lambda doc: {**_REPORT_OK, "input_labels": [-1]}, "report",
                  id="report-negative-label"),
     pytest.param("report", lambda doc: {**_REPORT_OK, "predictions": [0, 1]}, "report",
@@ -815,6 +861,11 @@ _REPORT_OK = {"parent_id": "p", "total_latency_max_sec": 1.0,
                                            "feature_names": _FEATURES, "mean": [0.0],
                                            "std": [1.0] * len(_FEATURES)}, "estimate",
                  id="regressor-short-mean"),
+    pytest.param("regressor", lambda doc: {**_REGRESSOR,
+                                           "feature_names": _FEATURES[::-1]}, "estimate",
+                 id="regressor-other-features"),
+    pytest.param("regressor", _set(("std", 0), 0.0), "estimate",
+                 id="regressor-std-0"),
     pytest.param("manifest", _set(("samples",), _DROP), "simulate",
                  id="manifest-no-samples-simulate"),
     pytest.param("manifest", _set(("samples", 0, "file"), 5), "simulate",
@@ -828,7 +879,8 @@ _REPORT_OK = {"parent_id": "p", "total_latency_max_sec": 1.0,
 def test_malformed_input_exits_2(target, mutate, command, small_corpus,
                                  tiny_weights, tmp_path, capsys):
     docs = _shipped_inputs(tiny_weights)
-    docs["report"] = docs["regressor"] = {}
+    docs["report"] = {}
+    docs["regressor"] = _REGRESSOR
     docs["manifest"] = read_json(small_corpus / "manifest.json")
     first_image = docs["manifest"]["samples"][0]["file"]
     raw = {"image": (small_corpus / first_image).read_bytes(),
@@ -939,12 +991,16 @@ def mutation_sites(tiny_weights):
             for path in _json_paths(docs[target])]
 
 
+# the values a mutation puts in place of one value of a valid input
+_MUTATION_VALUES = [_DROP, "x", -1, None, [], [1]]
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_mutated_inputs_fail_cleanly(data, mutation_sites, small_corpus,
                                      tiny_weights):
     target, path = data.draw(st.sampled_from(mutation_sites))
-    value = data.draw(st.sampled_from([_DROP, "x", -1, None, [], [1]]))
+    value = data.draw(st.sampled_from(_MUTATION_VALUES))
     docs = _shipped_inputs(tiny_weights)
     docs[target] = _set(path, value)(docs[target])
     with tempfile.TemporaryDirectory() as root:
@@ -967,3 +1023,30 @@ def test_mutated_inputs_fail_cleanly(data, mutation_sites, small_corpus,
                 assert list(out.iterdir()) == []
             for leftover in out.iterdir():
                 leftover.unlink()
+
+
+def test_every_spec_mutation_exits_0_or_2(tmp_path, capsys):
+    """Each single-value mutation of the shipped spec is read when `estimate`
+    loads it: the command runs, or exits 2 with one `error: malformed` line."""
+    spec = read_json(cli.data_path("default_model.json"))
+    path = tmp_path / "spec.json"
+    for key_path in _json_paths(spec):
+        for value in _MUTATION_VALUES:
+            path.write_text(json.dumps(_set(key_path, value)(spec)))
+            code = run("--quiet", "estimate", "--model", path, "--node-free", 1000)
+            err = capsys.readouterr().err
+            assert (code, err) == (0, "") or (
+                code == 2 and err.startswith(f"error: malformed {path}: ")
+                and err.count("\n") == 1), (key_path, value, err)
+
+
+@pytest.mark.parametrize("time_sec", [-1.0, _NAN], ids=["negative", "nan"])
+def test_fault_time_below_0_exits_3(time_sec, small_corpus, tiny_weights, tmp_path,
+                                    capsys):
+    docs = _shipped_inputs(tiny_weights)
+    docs["faults"] = [{"node_id": "c1", "time_sec": time_sec}]
+    files = _write_inputs(tmp_path, docs)
+    out = tmp_path / "out.json"
+    assert run("--quiet", *_simulate_argv(files, small_corpus, out)) == 3
+    assert capsys.readouterr().err == "error: fault time must be >= 0\n"
+    assert not out.exists()

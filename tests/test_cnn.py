@@ -1,10 +1,11 @@
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from edgemal import cnn
+from edgemal import cnn, resources
 from edgemal.errors import (
     EmptyCorpus,
     LabelOutOfRange,
@@ -1033,3 +1034,18 @@ def test_weights_round_trip_exact(tiny_spec):
                               model.weights[i].weight.array)
         assert np.array_equal(back.weights[i].bias.array,
                               model.weights[i].bias.array)
+
+
+def test_weights_round_trip_sampled_specs():
+    rng = SplitMix64(23)
+    for seed in range(50):
+        spec = resources.sample_model_spec(rng)
+        model = cnn.build_model(spec, seed)
+        read_spec = cnn.spec_from_json(json.loads(json.dumps(cnn.spec_to_json(spec))))
+        back = cnn.weights_from_json(
+            json.loads(json.dumps(cnn.weights_to_json(model))), read_spec)
+        assert back.spec == model.spec
+        assert back.weights.keys() == model.weights.keys()
+        for i, lw in model.weights.items():
+            assert np.array_equal(back.weights[i].weight.array, lw.weight.array)
+            assert np.array_equal(back.weights[i].bias.array, lw.bias.array)
