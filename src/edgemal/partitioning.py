@@ -5,12 +5,18 @@ cheapest nearby children until their combined free memory covers the model,
 then hand each chosen node the longest run of consecutive layers that fits
 its memory. All ordering rules are total, so the same inputs always produce
 the same placement.
+
+`layer_costs` is the one source of what a layer range costs: its bytes, its
+flops and the activation crossing the cut after it. Partitioning, placement
+checks and the simulator's schedule all read it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import cnn, resources
 from .errors import (
@@ -62,9 +68,10 @@ class NodeProfile:
             raise ValueError(f"node {self.id}: speed must be positive")
         if not isinstance(self.online, bool):
             raise ValueError(f"node {self.id}: online must be true or false")
-        if (len(self.position) != 2
-                or not all(isinstance(v, (int, float)) for v in self.position)):
-            raise ValueError(f"node {self.id}: position must be two numbers")
+        if len(self.position) != 2 or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v) for v in self.position):
+            raise ValueError(f"node {self.id}: position must be two finite numbers")
 
 
 @dataclass(frozen=True)
@@ -130,15 +137,10 @@ class NetworkScenario:
 
 @dataclass
 class Placement:
-    """Contiguous layer ranges per node, in execution order.
-
-    assignments holds (node_id, (start, stop)) with half-open ranges;
-    cut_bytes[i] is the activation payload crossing the boundary after
-    assignments[i].
-    """
+    """Contiguous layer ranges per node in execution order, as
+    (node_id, (start, stop)) with half-open ranges."""
 
     assignments: list[tuple[str, tuple[int, int]]]
-    cut_bytes: list[int]
     parent_id: str
 
 
@@ -146,6 +148,27 @@ class Placement:
 class Violation:
     kind: str
     message: str
+
+
+@dataclass(frozen=True)
+class LayerCosts:
+    """Prefix sums of layer bytes and flops, so layers lo..hi-1 hold
+    mem[hi] - mem[lo] bytes and run flops[hi] - flops[lo] flops, and each
+    layer's output bytes, the payload of a cut after it."""
+
+    mem: list[int]
+    flops: list[int]
+    out_bytes: list[int]
+
+
+def layer_costs(spec: cnn.ModelSpec, *,
+                bytes_per_param: int = resources.KB) -> LayerCosts:
+    """The LayerCosts of `spec` at `bytes_per_param`, in integers."""
+    rspec = cnn.resolve_spec(spec)
+    per_layer = resources.layer_bytes(rspec, bytes_per_param=bytes_per_param)
+    return LayerCosts(list(accumulate(per_layer, initial=0)),
+                      list(accumulate(map(cnn.layer_flops, rspec.layers), initial=0)),
+                      [math.prod(l.out_shape) * ACTIVATION_BYTES for l in rspec.layers])
 
 
 def _distance(a: NodeProfile, b: NodeProfile) -> float:
@@ -216,49 +239,32 @@ def partition_layers(spec: cnn.ModelSpec, nodes: list[NodeProfile], *,
     """
     if not nodes:
         raise InfeasiblePartition("no nodes given")
-    per_layer = resources.layer_bytes(spec, bytes_per_param=bytes_per_param)
-    total = sum(per_layer)
-    if sum(node.mem_free_bytes for node in nodes) < total:
-        raise InfeasiblePartition(
-            f"combined free bytes < model bytes ({total})")
+    mem = layer_costs(spec, bytes_per_param=bytes_per_param).mem
+    if sum(node.mem_free_bytes for node in nodes) < mem[-1]:
+        raise InfeasiblePartition(f"combined free bytes < model bytes ({mem[-1]})")
 
-    n_layers = len(per_layer)
+    n_layers = len(mem) - 1
     assignments: list[tuple[str, tuple[int, int]]] = []
     start = 0
     for j, node in enumerate(nodes):
         if start == n_layers:
             break
         nodes_after = len(nodes) - j - 1
-        take = 0
-        acc = 0
-        while (start + take < n_layers
-               and acc + per_layer[start + take] <= node.mem_free_bytes):
-            acc += per_layer[start + take]
-            take += 1
+        # layer bytes are >= 0, so mem is sorted: the longest run that fits
+        take = bisect_right(mem, mem[start] + node.mem_free_bytes) - 1 - start
         take = min(take, max(n_layers - start - nodes_after, 1))
         if take == 0:
-            if any(per_layer[start] <= other.mem_free_bytes
-                   for other in nodes[j + 1:]):
+            layer = mem[start + 1] - mem[start]
+            if any(layer <= other.mem_free_bytes for other in nodes[j + 1:]):
                 continue
-            raise InfeasiblePartition(
-                f"layer {start} ({per_layer[start]} bytes) exceeds every"
-                " remaining node's free memory")
+            raise InfeasiblePartition(f"layer {start} ({layer} bytes) exceeds"
+                                      " every remaining node's free memory")
         assignments.append((node.id, (start, start + take)))
         start += take
     if start < n_layers:
         raise InfeasiblePartition(
             f"layers {start}..{n_layers - 1} left unassigned after the last node")
-
-    placement = Placement(assignments, [], nodes[0].id)
-    placement.cut_bytes = cut_bytes(spec, placement)
-    return placement
-
-
-def cut_bytes(spec: cnn.ModelSpec, placement: Placement) -> list[int]:
-    """Bytes of the activation tensor crossing each assignment boundary."""
-    layers = cnn.resolve_spec(spec).layers
-    return [math.prod(layers[stop - 1].out_shape) * ACTIVATION_BYTES
-            for _, (_, stop) in placement.assignments[:-1]]
+    return Placement(assignments, nodes[0].id)
 
 
 def validate_placement(placement: Placement, network: NetworkScenario,
@@ -269,8 +275,8 @@ def validate_placement(placement: Placement, network: NetworkScenario,
     Returns every violation found; an empty list means the placement is ok.
     """
     violations: list[Violation] = []
-    per_layer = resources.layer_bytes(spec, bytes_per_param=bytes_per_param)
-    n_layers = len(per_layer)
+    mem = layer_costs(spec, bytes_per_param=bytes_per_param).mem
+    n_layers = len(mem) - 1
 
     if not placement.assignments:
         return [Violation("CoverageGap", "placement assigns no layers")]
@@ -305,7 +311,9 @@ def validate_placement(placement: Placement, network: NetworkScenario,
         node = network.node(node_id)
         if not node.online:
             violations.append(Violation("NodeOffline", f"node {node_id!r} is offline"))
-        assigned = sum(per_layer[lo:min(hi, n_layers)])
+        # a malformed range costs what slicing the layers with it holds
+        lo, hi, _ = slice(lo, min(hi, n_layers)).indices(n_layers)
+        assigned = mem[max(lo, hi)] - mem[lo]
         if assigned > node.mem_free_bytes:
             violations.append(Violation(
                 "MemoryExceeded",
@@ -383,15 +391,12 @@ def placement_to_json(placement: Placement) -> dict:
             {"node_id": node_id, "layers": [lo, hi]}
             for node_id, (lo, hi) in placement.assignments
         ],
-        "cut_bytes": list(placement.cut_bytes),
     }
 
 
 def placement_from_json(doc: dict) -> Placement:
-    assignments = [(entry["node_id"], (_integer(entry["layers"][0], "layers"),
-                                       _integer(entry["layers"][1], "layers")))
-                   for entry in doc["assignments"]]
+    pairs = [(entry["node_id"], entry["layers"]) for entry in doc["assignments"]]
+    assignments = [(node_id, (_integer(lo, "layers"), _integer(hi, "layers")))
+                   for node_id, (lo, hi) in pairs]
     _check_node_ids([doc["parent_id"], *(node_id for node_id, _ in assignments)])
-    return Placement(assignments,
-                     [_integer(v, "cut_bytes") for v in doc.get("cut_bytes", [])],
-                     doc["parent_id"])
+    return Placement(assignments, doc["parent_id"])

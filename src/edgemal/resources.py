@@ -142,10 +142,7 @@ def sample_model_spec(rng: SplitMix64) -> cnn.ModelSpec:
     layers = [cnn.LayerSpec(cnn.KIND_INPUT)]
     cur = (side, side, channels)
     for _ in range(rng.randint(3)):
-        max_k = min(3, cur[0], cur[1])
-        if max_k < 1:
-            break
-        k = 1 + rng.randint(max_k)
+        k = 1 + rng.randint(min(3, cur[0], cur[1]))
         filters = 1 + rng.randint(8)
         act = "relu" if rng.randint(2) else "none"
         layers.append(cnn.LayerSpec(cnn.KIND_CONV, kernel_w=k, kernel_h=k,

@@ -1,11 +1,12 @@
 """Logical-time simulation of distributed inference over an IoT fleet.
 
 `schedule` is the cost model: it validates the placement and the fault
-schedule, picks each stage's executor, and times compute and transfers
-(per-stage compute cost from the flop counter, transfer cost from link
-latency plus payload over bandwidth, pipelined input streaming: a stage
-starts the next input as soon as it is free). It reads no weights and runs
-no layer.
+schedule, picks each stage's executor, and times compute and transfers. Each
+stage's flops, bytes and outgoing payload come from `partitioning.layer_costs`;
+compute costs flops over the executor's effective speed, a transfer link
+latency plus payload over bandwidth, and inputs stream pipelined: a stage
+starts the next input as soon as it is free. It reads no weights and runs no
+layer.
 
 Transfer model: a transfer only delays its receiver. It occupies neither its
 sender, which may compute or send again at once, nor the link, which may
@@ -47,7 +48,7 @@ from .errors import (
 from .partitioning import (
     NetworkScenario,
     Placement,
-    cut_bytes,
+    layer_costs,
     validate_placement,
 )
 
@@ -155,17 +156,16 @@ def schedule(scenario: NetworkScenario, placement: Placement, spec: cnn.ModelSpe
         fault_time[fault.node_id] = min(fault_time.get(fault.node_id, fault.time_sec),
                                         fault.time_sec)
 
-    rspec = cnn.resolve_spec(spec)
+    costs = layer_costs(spec, bytes_per_param=bytes_per_param)
     stages = placement.assignments
-    cuts = cut_bytes(rspec, placement)
-    per_layer_bytes = resources.layer_bytes(rspec, bytes_per_param=bytes_per_param)
-    range_bytes = [sum(per_layer_bytes[lo:hi]) for _, (lo, hi) in stages]
+    cuts = [costs.out_bytes[hi - 1] for _, (_, hi) in stages[:-1]]
+    range_bytes = [costs.mem[hi] - costs.mem[lo] for _, (lo, hi) in stages]
 
     parent = scenario.node(parent_id)
     stage_cost = []
     parent_cost = []
     for node_id, (lo, hi) in stages:
-        flops = sum(cnn.layer_flops(layer) for layer in rspec.layers[lo:hi])
+        flops = costs.flops[hi] - costs.flops[lo]
         stage_cost.append(flops / _effective_speed(scenario.node(node_id)))
         parent_cost.append(flops / _effective_speed(parent))
 

@@ -1,8 +1,10 @@
 import contextlib
 import copy
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import stat
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgemal import cli, features, resources, simulation
+from edgemal import cli, cnn, features, resources, simulation
 
 from conftest import count_forward_batch, read_json
 
@@ -280,6 +282,34 @@ def test_report_without_samples_reports_null(tmp_path, capsys):
     assert "accuracy         n/a" in printed
     assert "macro F1         n/a" in printed
     assert "macro recall     n/a" in printed
+
+
+def _report_file(tmp_path, **fields):
+    """A two-sample report predicting classes 0 and 1, with `fields` added."""
+    doc = {"parent_id": "p", "total_latency_max_sec": 1.0,
+           "total_latency_pipeline_sec": 1.0, "per_node": {},
+           "outputs": [[0.9, 0.1], [0.2, 0.8]], "predictions": [0, 1], **fields}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_report_manifest_relabels_through_input_files(tmp_path):
+    # the report's own labels are all wrong; the manifest's, looked up by the
+    # file each input came from, match every prediction
+    report = _report_file(tmp_path, input_labels=[1, 0],
+                          input_files=["images/b.pgm", "images/a.pgm"])
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "class_names": ["benign", "worm", "trojan"],
+        "samples": [{"file": "images/a.pgm", "label": 1},
+                    {"file": "images/b.pgm", "label": 0}]}))
+    out = tmp_path / "metrics.json"
+    assert run("--quiet", "report", "--report", report, "--manifest", manifest,
+               "--out", out) == 0
+    metrics = json.loads(out.read_text())["metrics"]
+    assert metrics["accuracy"] == 1.0
+    assert metrics["per_class_recall"] == [1.0, 1.0, 0.0]
 
 
 def test_simulate_fan_out_multiple_scenarios(small_corpus, tiny_weights,
@@ -589,17 +619,19 @@ def test_partition_scale_flags(flags, ranges, tmp_path, capsys):
 
 def test_simulate_scale_flags(small_corpus, tiny_weights, tmp_path):
     # at 2 KB per parameter the parent p0 holds layers 0..7 and c1 the rest;
-    # the parent stores every range plus the cut activation
+    # the parent stores every range plus the cut activation, layer 7's output
     scenario = cli.data_path("scenarios", "reference_fleet.json")
-    assert run("--quiet", "partition", "--scenario", scenario, "--kb-per-param", 2,
-               "--out", tmp_path / "p.json") == 0
-    cut = json.loads((tmp_path / "p.json").read_text())["cut_bytes"]
     assert run("--quiet", "simulate", "--scenario", scenario, "--kb-per-param", 2,
                "--weights", tiny_weights, "--corpus", small_corpus, "--limit", 1,
-               "--out", tmp_path / "r.json") == 0
+               "--event-log", tmp_path / "e.csv", "--out", tmp_path / "r.json") == 0
+    with open(tmp_path / "e.csv", encoding="utf-8") as fh:
+        cuts = [int(row["bytes"]) for row in csv.DictReader(fh)
+                if row["kind"] == "transfer"]
+    layer7 = cnn.resolve_spec(cnn.load_spec(cli.data_path("default_model.json"))).layers[7]
+    assert cuts == [math.prod(layer7.out_shape) * 4]
     per_node = json.loads((tmp_path / "r.json").read_text())["per_node"]
     assert sorted(per_node) == ["c1", "p0"]
-    assert per_node["p0"]["bytes_consumed"] == 2 * 8_953_856 + sum(cut)
+    assert per_node["p0"]["bytes_consumed"] == 2 * 8_953_856 + cuts[0]
     assert per_node["p0"]["layers_executed"] == 8
 
 
@@ -679,9 +711,9 @@ def test_nodes_not_a_count_exits_2(command, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def _assert_config_error(capsys, out, *argv):
+def _assert_config_error(capsys, out, *argv) -> str:
     """`run("--quiet", *argv)` exits 2 with a one-line error and adds nothing
-    to the directory of its output `out`."""
+    to the directory of its output `out`; returns the error."""
     before = sorted(out.parent.iterdir())
     assert run("--quiet", *argv) == 2
     err = capsys.readouterr().err
@@ -689,19 +721,32 @@ def _assert_config_error(capsys, out, *argv):
     assert "Traceback" not in err
     assert not out.exists()
     assert sorted(out.parent.iterdir()) == before
+    return err
+
+
+def _simulate_with_baseline(capsys, doc, corpus, weights, tmp_path) -> str:
+    """The error of `simulate --baseline` with the baseline report `doc`."""
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    return _assert_config_error(
+        capsys, out, "simulate",
+        "--scenario", cli.data_path("scenarios", "reference_fleet.json"),
+        "--placement", cli.data_path("scenarios", "reference_fleet_nodes2.json"),
+        "--weights", weights, "--corpus", corpus, "--limit", 2,
+        "--baseline", baseline, "--out", out)
 
 
 def test_simulate_baseline_without_latency_exits_2(small_corpus, tiny_weights,
                                                    tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text("{}")
-    out = tmp_path / "r.json"
-    _assert_config_error(
-        capsys, out, "simulate",
-        "--scenario", cli.data_path("scenarios", "reference_fleet.json"),
-        "--placement", cli.data_path("scenarios", "reference_fleet_nodes2.json"),
-        "--weights", tiny_weights, "--corpus", small_corpus, "--limit", 2,
-        "--baseline", baseline, "--out", out)
+    _simulate_with_baseline(capsys, {}, small_corpus, tiny_weights, tmp_path)
+
+
+def test_simulate_baseline_with_non_numeric_latency_exits_2(small_corpus, tiny_weights,
+                                                            tmp_path, capsys):
+    err = _simulate_with_baseline(capsys, {"total_latency_max_sec": "fast"},
+                                  small_corpus, tiny_weights, tmp_path)
+    assert "total_latency_max_sec is not a number: 'fast'" in err
 
 
 def test_manifest_image_missing_exits_2(small_corpus, tiny_weights, tmp_path,
@@ -851,10 +896,18 @@ _REPORT_OK = {"parent_id": "p", "total_latency_max_sec": 1.0,
                  id="scenario-bool-max-nodes"),
     pytest.param("placement", _set(("assignments", 0, "layers"), [0.5, 1]), "simulate",
                  id="placement-fractional-layer"),
+    pytest.param("placement", _set(("assignments", 0, "layers"), [0, 1, "junk"]),
+                 "simulate", id="placement-three-values"),
+    pytest.param("scenario", _set(("nodes", 1, "position"), [_NAN, 0.0]), "partition",
+                 id="scenario-nan-position"),
+    pytest.param("scenario", _set(("nodes", 1, "position"), [True, 0.0]), "partition",
+                 id="scenario-bool-position"),
     pytest.param("report", lambda doc: {**_REPORT_OK, "input_labels": [-1]}, "report",
                  id="report-negative-label"),
     pytest.param("report", lambda doc: {**_REPORT_OK, "predictions": [0, 1]}, "report",
                  id="report-unpaired-predictions"),
+    pytest.param("report", lambda doc: _set(("input_labels",), _DROP)(_REPORT_OK),
+                 "report", id="report-no-labels-no-manifest"),
     pytest.param("regressor", lambda doc: {"beta": [0.0] * 6}, "estimate",
                  id="regressor-only-beta"),
     pytest.param("regressor", lambda doc: {"beta": [0.0] * (len(_FEATURES) + 1),
@@ -946,6 +999,10 @@ def test_malformed_input_exits_2(target, mutate, command, small_corpus,
                  "--nodes", id="placement-with-nodes"),
     pytest.param(["report", "--report", "r.json", "--baseline", "b.json"],
                  "--baseline", id="report-baseline"),
+    # the reference fleet has four candidates: the parent and three children
+    pytest.param(["partition", "--scenario",
+                  cli.data_path("scenarios", "reference_fleet.json"), "--nodes", 9],
+                 "--nodes must be in [1, 4]", id="nodes-above-candidates"),
 ])
 def test_flag_out_of_range_exits_2(argv, flag, tmp_path, capsys):
     try:

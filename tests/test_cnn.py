@@ -94,6 +94,18 @@ def test_first_and_last_layer_enforced():
             cnn.LayerSpec("Dense", units=2))))
 
 
+def test_softmax_only_as_the_last_layer():
+    with pytest.raises(ShapeMismatch, match="Softmax allowed only as the last layer"):
+        cnn.resolve_spec(cnn.ModelSpec((4, 4, 1), (
+            cnn.LayerSpec("Input"), cnn.LayerSpec("Flatten"),
+            cnn.LayerSpec("Softmax", units=3), cnn.LayerSpec("Softmax", units=2))))
+    with pytest.raises(Unsupported, match="reserved for the Softmax layer"):
+        cnn.resolve_spec(cnn.ModelSpec((4, 4, 1), (
+            cnn.LayerSpec("Input"), cnn.LayerSpec("Flatten"),
+            cnn.LayerSpec("Dense", units=3, activation="softmax"),
+            cnn.LayerSpec("Softmax", units=2))))
+
+
 # --- forward ---
 
 def test_zero_weights_give_uniform_probs(default_spec):
@@ -693,6 +705,15 @@ def test_train_errors(tiny_spec):
     with pytest.raises(LabelOutOfRange):
         cnn.train_model(model, [rand_tensor((6, 6, 1), 0)], [3], epochs=1,
                         learning_rate=0.1, batch_size=1, seed=0)
+    with pytest.raises(EmptyCorpus, match="differ in length"):
+        cnn.train_model(model, [rand_tensor((6, 6, 1), 0)], [0, 1], epochs=1,
+                        learning_rate=0.1, batch_size=1, seed=0)
+    with pytest.raises(ShapeMismatch, match="sample shape"):
+        cnn.train_model(model, [rand_tensor((6, 6, 1), 0), rand_tensor((6, 5, 1), 1)],
+                        [0, 1], epochs=1, learning_rate=0.1, batch_size=1, seed=0)
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        cnn.train_model(model, [rand_tensor((6, 6, 1), 0)], [0], epochs=1,
+                        learning_rate=0.1, batch_size=0, seed=0)
 
 
 def test_train_is_deterministic(tiny_spec):

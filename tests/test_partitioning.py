@@ -1,9 +1,9 @@
 import json
+import math
 
-import numpy as np
 import pytest
 
-from edgemal import cnn, partitioning, resources
+from edgemal import cnn, partitioning, resources, simulation
 from edgemal.errors import InfeasiblePartition, InsufficientResources, NoRoute
 from edgemal.rng import SplitMix64
 
@@ -132,7 +132,6 @@ def test_single_node_gets_everything(default_spec):
     placement = partitioning.partition_layers(
         default_spec, node_profiles([("solo", 10 * MB)]))
     assert placement.assignments == [("solo", (0, 11))]
-    assert placement.cut_bytes == []
 
 
 def test_two_equal_nodes_split(default_spec):
@@ -196,7 +195,14 @@ def test_partition_properties_random(default_spec):
     assert successes >= 250
 
 
-# --- cut_bytes ---
+def test_unfit_node_is_skipped_for_a_later_one(default_spec):
+    # b cannot hold layer 8 and c can, so b takes nothing
+    placement = partitioning.partition_layers(
+        default_spec, node_profiles([("a", 5 * MB), ("b", 1), ("c", 10 * MB)]))
+    assert placement.assignments == [("a", (0, 8)), ("c", (8, 11))]
+
+
+# --- layer_costs ---
 
 def test_cut_bytes_examples():
     spec = cnn.ModelSpec((18, 18, 2), (
@@ -205,32 +211,47 @@ def test_cut_bytes_examples():
         cnn.LayerSpec("Flatten"),
         cnn.LayerSpec("Softmax", units=4),
     ))
-    placement = partitioning.Placement([("a", (0, 2)), ("b", (2, 4))], [], "a")
-    # cut after the conv output 16x16x8
-    assert partitioning.cut_bytes(spec, placement) == [16 * 16 * 8 * 4]
+    # the input 18x18x2, the conv output 16x16x8, its flattening, the logits
+    assert partitioning.layer_costs(spec).out_bytes == [
+        18 * 18 * 2 * 4, 16 * 16 * 8 * 4, 16 * 16 * 8 * 4, 4 * 4]
 
     spec2 = cnn.ModelSpec((4, 4, 16), (
         cnn.LayerSpec("Input"),
         cnn.LayerSpec("Flatten"),
         cnn.LayerSpec("Softmax", units=4),
     ))
-    placement2 = partitioning.Placement([("a", (0, 2)), ("b", (2, 3))], [], "a")
-    assert partitioning.cut_bytes(spec2, placement2) == [256 * 4]
+    assert partitioning.layer_costs(spec2).out_bytes[1] == 256 * 4
 
 
-def test_single_node_placement_has_no_cuts(default_spec):
-    placement = partitioning.Placement([("p", (0, 11))], [], "p")
-    assert partitioning.cut_bytes(default_spec, placement) == []
+def test_layer_costs_match_per_layer_sums():
+    rng = SplitMix64(47)
+    for trial in range(200):
+        spec = resources.sample_model_spec(rng)
+        bytes_per_param = (1, 7, resources.KB)[trial % 3]
+        costs = partitioning.layer_costs(spec, bytes_per_param=bytes_per_param)
+        per_bytes = resources.layer_bytes(spec, bytes_per_param=bytes_per_param)
+        layers = cnn.resolve_spec(spec).layers
+        per_flops = [cnn.layer_flops(layer) for layer in layers]
+        n = len(layers)
+        assert len(costs.mem) == len(costs.flops) == n + 1
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                assert costs.mem[hi] - costs.mem[lo] == sum(per_bytes[lo:hi])
+                assert costs.flops[hi] - costs.flops[lo] == sum(per_flops[lo:hi])
+        assert costs.out_bytes == [math.prod(layer.out_shape) * 4 for layer in layers]
 
 
 def test_greedy_cut_is_a_valid_two_way_split(default_spec):
-    # the greedy boundary must be among the cuts of all contiguous 2-way splits
-    per = resources.layer_bytes(default_spec)
-    shapes = [layer.out_shape for layer in cnn.resolve_spec(default_spec).layers]
-    all_cuts = {int(np.prod(shapes[b - 1])) * 4 for b in range(1, len(per))}
-    placement = partitioning.partition_layers(
-        default_spec, node_profiles([("n1", 5 * MB), ("n2", 5 * MB)]))
-    assert placement.cut_bytes[0] in all_cuts
+    # the greedy boundary splits the layers in two, and the schedule sends the
+    # activation of the layer before it across the cut
+    net = star_network(5 * MB, [5 * MB])
+    placement = partitioning.partition_layers(default_spec, net.nodes)
+    (_, (_, cut)), (_, (after, _)) = placement.assignments
+    assert 0 < cut == after < len(resources.layer_bytes(default_spec))
+    report = simulation.schedule(net, placement, default_spec, 1)
+    shape = cnn.resolve_spec(default_spec).layers[cut - 1].out_shape
+    assert [event.bytes for event in report.events if event.kind == "transfer"] == [
+        math.prod(shape) * 4]
 
 
 # --- validate_placement ---
@@ -248,7 +269,7 @@ def test_validate_reports_offline_node(default_spec):
     ]
     net = partitioning.NetworkScenario(
         nodes, [partitioning.LinkProfile("p", "c0", 0.01, 1e6)], 100.0, "p")
-    placement = partitioning.Placement([("p", (0, 8)), ("c0", (8, 11))], [], "p")
+    placement = partitioning.Placement([("p", (0, 8)), ("c0", (8, 11))], "p")
     kinds = {v.kind for v in
              partitioning.validate_placement(placement, net, default_spec)}
     assert kinds == {"NodeOffline"}
@@ -256,7 +277,7 @@ def test_validate_reports_offline_node(default_spec):
 
 def test_validate_reports_coverage_gap(default_spec):
     net = star_network(10 * MB, [10 * MB])
-    placement = partitioning.Placement([("p", (0, 3)), ("c0", (4, 11))], [], "p")
+    placement = partitioning.Placement([("p", (0, 3)), ("c0", (4, 11))], "p")
     kinds = {v.kind for v in
              partitioning.validate_placement(placement, net, default_spec)}
     assert "CoverageGap" in kinds
@@ -264,7 +285,7 @@ def test_validate_reports_coverage_gap(default_spec):
 
 def test_validate_reports_unknown_parent(default_spec):
     net = star_network(10 * MB, [10 * MB])
-    placement = partitioning.Placement([("p", (0, 11))], [], "ghost")
+    placement = partitioning.Placement([("p", (0, 11))], "ghost")
     violations = partitioning.validate_placement(placement, net, default_spec)
     assert [v.kind for v in violations] == ["UnknownNode"]
     assert "ghost" in violations[0].message
@@ -276,7 +297,7 @@ def test_validate_reports_memory_and_link_issues(default_spec):
         partitioning.NodeProfile("c0", 10 * MB, 1e6, 0.0, (1.0, 0.0)),
     ]
     net = partitioning.NetworkScenario(nodes, [], 100.0, "p")
-    placement = partitioning.Placement([("p", (0, 8)), ("c0", (8, 11))], [], "p")
+    placement = partitioning.Placement([("p", (0, 8)), ("c0", (8, 11))], "p")
     kinds = {v.kind for v in
              partitioning.validate_placement(placement, net, default_spec)}
     assert "MemoryExceeded" in kinds
@@ -285,10 +306,22 @@ def test_validate_reports_memory_and_link_issues(default_spec):
 
 def test_validate_reports_unknown_node(default_spec):
     net = star_network(10 * MB, [])
-    placement = partitioning.Placement([("ghost", (0, 11))], [], "ghost")
+    placement = partitioning.Placement([("ghost", (0, 11))], "ghost")
     kinds = {v.kind for v in
              partitioning.validate_placement(placement, net, default_spec)}
     assert "UnknownNode" in kinds
+
+
+def test_validate_charges_a_malformed_range_what_its_slice_holds(default_spec):
+    per = resources.layer_bytes(default_spec)
+    net = star_network(0, [])
+    for lo, hi in [(-3, 11), (-20, 5), (8, 40), (5, 2), (-3, -1), (0, -4), (12, 15)]:
+        placement = partitioning.Placement([("p", (lo, hi))], "p")
+        held = sum(per[lo:min(hi, len(per))])
+        memory = [v.message for v in
+                  partitioning.validate_placement(placement, net, default_spec)
+                  if v.kind == "MemoryExceeded"]
+        assert memory == ([f"node 'p' holds {held} bytes, free 0"] if held else [])
 
 
 # --- JSON round trips ---
@@ -307,8 +340,11 @@ def test_scenario_round_trip():
 def test_placement_round_trip(default_spec):
     placement = partitioning.partition_layers(
         default_spec, node_profiles([("n1", 5 * MB), ("n2", 5 * MB)]))
-    back = partitioning.placement_from_json(
-        json.loads(json.dumps(partitioning.placement_to_json(placement))))
+    doc = partitioning.placement_to_json(placement)
+    assert sorted(doc) == ["assignments", "parent_id"]
+    back = partitioning.placement_from_json(json.loads(json.dumps(doc)))
     assert back.assignments == placement.assignments
-    assert back.cut_bytes == placement.cut_bytes
     assert back.parent_id == placement.parent_id
+    # an older file's cut sizes are ignored, whatever they say
+    older = partitioning.placement_from_json({**doc, "cut_bytes": [5, 7, -3]})
+    assert older.assignments == placement.assignments

@@ -30,7 +30,7 @@ def fleet(node_specs, links, parent="p", radius=100.0):
 def on_device(net, node_id, model, xs):
     """Whole-model inference on one node: the reference run for speedup."""
     placement = partitioning.Placement(
-        [(node_id, (0, len(model.spec.layers)))], [], node_id)
+        [(node_id, (0, len(model.spec.layers)))], node_id)
     return simulation.simulate_inference(net, placement, model, xs)
 
 
@@ -124,7 +124,7 @@ def test_equal_split_halves_latency(balanced_spec):
     model = cnn.build_model(balanced_spec, 3)
     net = fleet([("p", MB, 8.0, 0.0, (0, 0)), ("c", MB, 8.0, 0.0, (1, 0))],
                 [("p", "c", 0.0, 1e12)])
-    placement = partitioning.Placement([("p", (0, 3)), ("c", (3, 5))], [], "p")
+    placement = partitioning.Placement([("p", (0, 3)), ("c", (3, 5))], "p")
     xs = [rand_tensor((8, 1, 1), i) for i in range(10)]
     base = on_device(net, "p", model, xs)
     par = simulation.simulate_inference(net, placement, model, xs)
@@ -140,11 +140,11 @@ def test_latency_non_increasing_in_node_count(balanced_spec):
     xs = [rand_tensor((8, 1, 1), i) for i in range(8)]
     one = on_device(net, "p", model, xs)
     two = simulation.simulate_inference(
-        net, partitioning.Placement([("p", (0, 3)), ("c1", (3, 5))], [], "p"),
+        net, partitioning.Placement([("p", (0, 3)), ("c1", (3, 5))], "p"),
         model, xs)
     three = simulation.simulate_inference(
         net, partitioning.Placement(
-            [("p", (0, 3)), ("c1", (3, 4)), ("c2", (4, 5))], [], "p"),
+            [("p", (0, 3)), ("c1", (3, 4)), ("c2", (4, 5))], "p"),
         model, xs)
     series = [r.total_latency_max_sec for r in (one, two, three)]
     assert series[0] >= series[1] >= series[2]
@@ -154,7 +154,7 @@ def test_transfer_time_enters_pipeline_metric(balanced_spec):
     model = cnn.build_model(balanced_spec, 3)
     net = fleet([("p", MB, 8.0, 0.0, (0, 0)), ("c", MB, 8.0, 0.0, (1, 0))],
                 [("p", "c", 0.25, 16.0)])
-    placement = partitioning.Placement([("p", (0, 3)), ("c", (3, 5))], [], "p")
+    placement = partitioning.Placement([("p", (0, 3)), ("c", (3, 5))], "p")
     par = simulation.simulate_inference(net, placement, model,
                                         [rand_tensor((8, 1, 1), 0)])
     # one 8-byte cut (two float32s) at 16 B/s plus 0.25 s latency
@@ -167,7 +167,7 @@ def test_conservation_of_layer_executions(tiny_spec):
     model = cnn.build_model(tiny_spec, 4)
     net = fleet([("p", MB, 1e3, 0.0, (0, 0)), ("c", MB, 1e3, 0.0, (1, 0))],
                 [("p", "c", 0.01, 1e6)])
-    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], [], "p")
+    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], "p")
     xs = [rand_tensor((6, 6, 1), i) for i in range(5)]
     report = simulation.simulate_inference(net, placement, model, xs)
     total = sum(u.layers_executed for u in report.per_node.values())
@@ -178,7 +178,7 @@ def test_latency_recomputable_from_event_log(tiny_spec):
     model = cnn.build_model(tiny_spec, 4)
     net = fleet([("p", MB, 1e3, 0.0, (0, 0)), ("c", MB, 2e3, 0.0, (1, 0))],
                 [("p", "c", 0.02, 1e5)])
-    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], [], "p")
+    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], "p")
     xs = [rand_tensor((6, 6, 1), i) for i in range(4)]
     report = simulation.simulate_inference(net, placement, model, xs)
     busy = {nid: 0.0 for nid in report.per_node}
@@ -252,7 +252,7 @@ def test_event_log_deterministic(tiny_spec):
     model = cnn.build_model(tiny_spec, 4)
     net = fleet([("p", MB, 1e3, 0.0, (0, 0)), ("c", MB, 1e3, 0.2, (1, 0))],
                 [("p", "c", 0.01, 1e6)])
-    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], [], "p")
+    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], "p")
     xs = [rand_tensor((6, 6, 1), i) for i in range(3)]
     faults = [simulation.FaultEvent("c", 0.02)]
     a = simulation.simulate_inference(net, placement, model, xs, faults)
@@ -266,7 +266,7 @@ def test_child_fault_redirects_to_parent(tiny_spec):
     model = cnn.build_model(tiny_spec, 5)
     net = fleet([("p", 10 * MB, 1e3, 0.0, (0, 0)), ("c", 10 * MB, 1e3, 0.0, (1, 0))],
                 [("p", "c", 0.001, 1e7)])
-    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], [], "p")
+    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], "p")
     xs = [rand_tensor((6, 6, 1), i) for i in range(6)]
     clean = simulation.simulate_inference(net, placement, model, xs)
     mid = clean.total_latency_max_sec / 3.0
@@ -282,7 +282,7 @@ def test_fault_before_start_takes_everything(tiny_spec):
     model = cnn.build_model(tiny_spec, 5)
     net = fleet([("p", 10 * MB, 1e3, 0.0, (0, 0)), ("c", 10 * MB, 1e3, 0.0, (1, 0))],
                 [("p", "c", 0.001, 1e7)])
-    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], [], "p")
+    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], "p")
     report = simulation.simulate_inference(net, placement, model,
                                            [rand_tensor((6, 6, 1), 0)],
                                            [simulation.FaultEvent("c", 0.0)])
@@ -301,7 +301,7 @@ def test_parent_over_capacity_warns_but_continues(tiny_spec):
     net = fleet([("p", parent_mem, 1e3, 0.0, (0, 0)),
                  ("c", 10 * MB, 1e3, 0.0, (1, 0))],
                 [("p", "c", 0.001, 1e7)])
-    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], [], "p")
+    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], "p")
     report = simulation.simulate_inference(net, placement, model,
                                            [rand_tensor((6, 6, 1), 0)],
                                            [simulation.FaultEvent("c", 0.0)])
@@ -312,7 +312,7 @@ def test_parent_over_capacity_warns_but_continues(tiny_spec):
 def test_fault_on_parent_rejected(tiny_spec):
     model = cnn.build_model(tiny_spec, 5)
     net = fleet([("p", 10 * MB, 1e3, 0.0, (0, 0))], [])
-    placement = partitioning.Placement([("p", (0, 6))], [], "p")
+    placement = partitioning.Placement([("p", (0, 6))], "p")
     with pytest.raises(InvalidFault):
         simulation.simulate_inference(net, placement, model, [],
                                       [simulation.FaultEvent("p", 1.0)])
@@ -327,7 +327,7 @@ def test_unroutable_fault_transfer(tiny_spec):
                  ("c2", 10 * MB, 1e3, 0.0, (2, 0))],
                 [("p", "c1", 0.001, 1e7), ("c1", "c2", 0.001, 1e7)])
     placement = partitioning.Placement(
-        [("p", (0, 2)), ("c1", (2, 4)), ("c2", (4, 6))], [], "p")
+        [("p", (0, 2)), ("c1", (2, 4)), ("c2", (4, 6))], "p")
     with pytest.raises(UnroutableTransfer):
         simulation.simulate_inference(net, placement, model,
                                       [rand_tensor((6, 6, 1), 0)],
@@ -337,7 +337,7 @@ def test_unroutable_fault_transfer(tiny_spec):
 def test_invalid_placement_rejected(tiny_spec):
     model = cnn.build_model(tiny_spec, 5)
     net = fleet([("p", 10 * MB, 1e3, 0.0, (0, 0))], [])
-    bad = partitioning.Placement([("p", (0, 3))], [], "p")  # misses layers 3..5
+    bad = partitioning.Placement([("p", (0, 3))], "p")  # misses layers 3..5
     with pytest.raises(InvalidPlacement):
         simulation.simulate_inference(net, bad, model, [])
 
@@ -362,7 +362,7 @@ def test_resource_report_parent_exceeds_children(tiny_spec):
                 [("p", "c1", 0.001, 1e7), ("c1", "c2", 0.001, 1e7),
                  ("p", "c2", 0.001, 1e7)])
     placement = partitioning.Placement(
-        [("p", (0, 2)), ("c1", (2, 4)), ("c2", (4, 6))], [], "p")
+        [("p", (0, 2)), ("c1", (2, 4)), ("c2", (4, 6))], "p")
     report = simulation.simulate_inference(net, placement, model,
                                            [rand_tensor((6, 6, 1), 0)])
     table = simulation.resource_report(report)
@@ -393,7 +393,7 @@ def test_equal_children_consume_equal_bytes():
                  ("c2", MB, 1e3, 0.0, (2, 0))],
                 [("p", "c1", 0.001, 1e7), ("c1", "c2", 0.001, 1e7)])
     placement = partitioning.Placement(
-        [("p", (0, 3)), ("c1", (3, 4)), ("c2", (4, 6))], [], "p")
+        [("p", (0, 3)), ("c1", (3, 4)), ("c2", (4, 6))], "p")
     report = simulation.simulate_inference(net, placement, model,
                                            [rand_tensor((4, 1, 1), 0)])
     # dense 4->4 ranges have identical parameter bytes
@@ -409,7 +409,7 @@ def _takeover_case(tiny_spec):
     model = cnn.build_model(tiny_spec, 5)
     net = fleet([("p", 10 * MB, 1e3, 0.0, (0, 0)), ("c", 10 * MB, 1e3, 0.0, (1, 0))],
                 [("p", "c", 0.001, 1e7)])
-    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], [], "p")
+    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], "p")
     xs = [rand_tensor((6, 6, 1), i) for i in range(6)]
     clean = simulation.simulate_inference(net, placement, model, xs)
     faults = [simulation.FaultEvent("c", clean.total_latency_max_sec / 3.0)]
@@ -460,7 +460,7 @@ def _digest_reference(default_spec):
 def _digest_child_takeover(tiny_spec):
     net = fleet([("p", 10 * MB, 1e3, 0.0, (0, 0)), ("c", 10 * MB, 1e3, 0.0, (1, 0))],
                 [("p", "c", 0.001, 1e7)])
-    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], [], "p")
+    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], "p")
     return net, placement, tiny_spec, 6, [simulation.FaultEvent("c", 2.0)]
 
 
@@ -472,7 +472,7 @@ def _digest_unreachable_takeover(tiny_spec):
                  ("c2", 10 * MB, 2e3, 0.0, (2, 0))],
                 [("p", "c1", 0.001, 1e7), ("c1", "c2", 0.002, 1e6)])
     placement = partitioning.Placement(
-        [("p", (0, 2)), ("c1", (2, 4)), ("c2", (4, 6))], [], "p")
+        [("p", (0, 2)), ("c1", (2, 4)), ("c2", (4, 6))], "p")
     faults = [simulation.FaultEvent("c2", 5.0), simulation.FaultEvent("c1", 1.5),
               simulation.FaultEvent("c2", 2.0)]
     return net, placement, tiny_spec, 5, faults
@@ -483,7 +483,7 @@ def _digest_over_capacity(tiny_spec):
     net = fleet([("p", parent_mem, 1e3, 0.0, (0, 0)),
                  ("c", 10 * MB, 1e3, 0.0, (1, 0))],
                 [("p", "c", 0.001, 1e7)])
-    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], [], "p")
+    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], "p")
     # two faults at one time: the first one's time, 0.0, is the takeover's
     faults = [simulation.FaultEvent("c", 0.0), simulation.FaultEvent("c", -0.0)]
     return net, placement, tiny_spec, 3, faults
@@ -539,7 +539,7 @@ def test_report_json_and_event_log(tmp_path, tiny_spec):
     model = cnn.build_model(tiny_spec, 5)
     net = fleet([("p", 10 * MB, 1e3, 0.0, (0, 0)), ("c", 10 * MB, 1e3, 0.0, (1, 0))],
                 [("p", "c", 0.001, 1e7)])
-    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], [], "p")
+    placement = partitioning.Placement([("p", (0, 4)), ("c", (4, 6))], "p")
     xs = [rand_tensor((6, 6, 1), i) for i in range(2)]
     report = simulation.simulate_inference(net, placement, model, xs)
     doc = simulation.report_to_json(report)
