@@ -1107,3 +1107,81 @@ def test_fault_time_below_0_exits_3(time_sec, small_corpus, tiny_weights, tmp_pa
     assert run("--quiet", *_simulate_argv(files, small_corpus, out)) == 3
     assert capsys.readouterr().err == "error: fault time must be >= 0\n"
     assert not out.exists()
+
+
+# --- pinned output bytes ---
+#
+# sha256 digests of the files each command writes, measured with per-image
+# corpus loading and per-row report serialisation. test_forward_batch_bits_pinned
+# pins the network's outputs; these pin how the CLI reads the corpus and
+# serialises the outputs, the schedule and the training history.
+
+def _pinned_commands(corpus: Path, out: Path) -> list[list]:
+    weights = cli.data_path("trained", "default_weights.json")
+    reference = cli.data_path("scenarios", "reference_fleet.json")
+    common = ["--weights", weights, "--corpus", corpus]
+    return [
+        ["simulate", "--scenario", reference, *common, "--nodes", "parent-only",
+         "--out", out / "solo.json"],
+        ["simulate", "--scenario", reference, *common,
+         "--placement", cli.data_path("scenarios", "reference_fleet_nodes4.json"),
+         "--baseline", out / "solo.json", "--event-log", out / "events.csv",
+         "--out", out / "placed.json"],
+        ["simulate", "--scenario", reference, cli.data_path("scenarios", "demo_fleet.json"),
+         *common, "--out", out / "fan"],
+        ["simulate", "--scenario", reference, *common,
+         "--placement", cli.data_path("scenarios", "reference_fleet_nodes2.json"),
+         "--limit", 5, "--out", out / "limited.json"],
+        ["train", "--corpus", corpus, "--epochs", 1, "--batch-size", 4,
+         "--out", out / "weights.json", "--history", out / "history.json"],
+    ]
+
+
+_PINNED_DIGESTS = {
+    "events.csv":
+        "06a67a2c14feabb19ace82a9ce803094d1b7c011080cf1023bc7f6badc5a4a5c",
+    "fan/demo_fleet_report.json":
+        "63b67bbb8a0f7179cd00151722ab47f762b93b982e162c5b8ee2b0f2e4f0e478",
+    "fan/reference_fleet_report.json":
+        "b8624007edfc327334f7b0d30397bf170858661524690d5e923e4005a48c4ac1",
+    "history.json":
+        "67744efbe8a648707d365deefd6972d745d75ae59fb60b7d2ea47f249c9bbc94",
+    "limited.json":
+        "5dcd42c7c9993653630a46f5a77c62b946da7139de260193486d4a82ad200a94",
+    "placed.json":
+        "36485dc5e1292850849cdf4fdc580092acbc23f1aa740b599e21e964c0628170",
+    "solo.json":
+        "b8624007edfc327334f7b0d30397bf170858661524690d5e923e4005a48c4ac1",
+    "weights.json":
+        "9af3a8d055b707fd42ed4490b179c8687a6dd1ee2a09c7f1cb9e57bc76bbf2e5",
+}
+
+
+def test_cli_output_bytes_pinned(small_corpus, tmp_path):
+    for argv in _pinned_commands(small_corpus, tmp_path):
+        assert run("--quiet", *argv) == 0
+    assert tree_digest(tmp_path) == _PINNED_DIGESTS
+
+
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_wrong_size_image_exits_3(command, small_corpus, tmp_path, capsys):
+    """A 16x16 image in a 32x32 corpus. It lies in the test split, so a
+    trainer that reads the images one at a time meets it only after training."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus)
+    samples = read_json(corpus / "manifest.json")["samples"]
+    _, test_idx = features.split_corpus([s["label"] for s in samples], 0.7,
+                                        cli._DEFAULT_SEED)
+    features.write_pgm(features.GrayImage(16, [k % 251 for k in range(256)], 0),
+                       corpus / samples[test_idx[0]]["file"])
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "simulate": ["simulate", "--scenario", cli.data_path("scenarios", "demo_fleet.json"),
+                     "--weights", cli.data_path("trained", "default_weights.json"),
+                     "--event-log", out / "events.csv"],
+        "train": ["train", "--epochs", 1, "--batch-size", 4, "--history", out / "h.json"],
+    }[command]
+    assert run("--quiet", *argv, "--corpus", corpus, "--out", out / "o.json") == 3
+    assert capsys.readouterr().err == "error: expected input (32, 32, 1), got (16, 16, 1)\n"
+    assert list(out.iterdir()) == []
