@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import cnn, features, partitioning, resources, simulation
-from .errors import EdgemalError
+from .errors import EdgemalError, ShapeMismatch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -116,7 +116,8 @@ def _load(path, parse, *args, json_doc: bool = True):
     configuration error, as is any domain error of the reader (a spec whose
     layers do not chain, weights that do not fit it, a bad PGM header) and any
     KeyError, IndexError, TypeError, ValueError or AttributeError (a value of
-    the wrong JSON type) from decoding or parsing.
+    the wrong JSON type) or OverflowError (an integer too large for a float)
+    from decoding or parsing.
     """
     try:
         if not json_doc:
@@ -126,7 +127,8 @@ def _load(path, parse, *args, json_doc: bool = True):
         return parse(doc, *args)
     except OSError as exc:
         raise _ConfigError(f"cannot read {path}: {exc.strerror}") from exc
-    except (EdgemalError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (EdgemalError, AttributeError, IndexError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise _ConfigError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -203,13 +205,22 @@ def _manifest_from_json(doc) -> tuple[list, list[tuple[str, int]]]:
     return doc["class_names"], samples
 
 
-def _load_corpus(corpus_dir: Path, limit: int = 0):
+def _load_corpus(corpus_dir: Path, input_shape: tuple[int, ...], limit: int = 0):
+    """A corpus's class names, labels and image files, and its images as one
+    C-contiguous (n, *input_shape) float32 stack of `features.input_values`.
+    Each image is read once; one of another shape than `input_shape` is the
+    domain error `cnn.forward_batch` raises for it."""
     class_names, samples = _load(corpus_dir / "manifest.json", _manifest_from_json)
     if limit > 0:
         samples = samples[:limit]
-    images = [features.image_to_tensor(
-        _load(corpus_dir / name, features.read_pgm, label, json_doc=False))
-        for name, label in samples]
+    pixels = np.empty((len(samples), math.prod(input_shape)), dtype=np.uint8)
+    for row, (name, label) in zip(pixels, samples):
+        img = _load(corpus_dir / name, features.read_pgm, label, json_doc=False)
+        shape = (img.side, img.side, 1)
+        if shape != input_shape:
+            raise ShapeMismatch(f"expected input {input_shape}, got {shape}")
+        row[...] = img.pixels
+    images = features.input_values(pixels).reshape(len(samples), *input_shape)
     return (class_names, images, [label for _, label in samples],
             [name for name, _ in samples])
 
@@ -230,10 +241,10 @@ def cmd_rank_events(args) -> int:
 
 # --- training --------------------------------------------------------------------
 
-def _accuracy(model: cnn.Model, images, labels) -> float | None:
-    """`classification_metrics` accuracy of `model` on the samples; None
-    when there are none."""
-    predictions = [int(np.argmax(probs)) for probs in cnn.forward_batch(model, images)]
+def _accuracy(model: cnn.Model, images: np.ndarray, labels) -> float | None:
+    """`classification_metrics` accuracy of `model` on the stacked samples;
+    None when there are none."""
+    predictions = cnn.forward_batch(model, images).argmax(axis=1).tolist()
     class_count = max([model.spec.layers[-1].units, *(lab + 1 for lab in labels)])
     return classification_metrics(predictions, labels, class_count)["accuracy"]
 
@@ -243,20 +254,17 @@ def _ratio_text(value: float | None) -> str:
 
 
 def cmd_train(args) -> int:
-    corpus_dir = Path(args.corpus)
-    class_names, images, labels, _ = _load_corpus(corpus_dir)
     spec = _load_spec(args.model)
+    class_names, images, labels, _ = _load_corpus(Path(args.corpus), spec.input_shape)
     train_idx, test_idx = features.split_corpus(labels, args.train_frac, args.seed)
     model = cnn.build_model(spec, args.seed)
     trained, history = cnn.train_model(
-        model, [images[i] for i in train_idx], [labels[i] for i in train_idx],
+        model, [cnn.Tensor(x) for x in images[train_idx]], [labels[i] for i in train_idx],
         epochs=args.epochs, learning_rate=args.learning_rate,
         batch_size=args.batch_size, seed=args.seed,
         clip_norm=args.clip_norm if args.clip_norm > 0 else None)
-    train_acc = _accuracy(trained, [images[i] for i in train_idx],
-                          [labels[i] for i in train_idx])
-    test_acc = _accuracy(trained, [images[i] for i in test_idx],
-                         [labels[i] for i in test_idx])
+    train_acc = _accuracy(trained, images[train_idx], [labels[i] for i in train_idx])
+    test_acc = _accuracy(trained, images[test_idx], [labels[i] for i in test_idx])
 
     writes = [(Path(args.out), _text_writer(_dump_json(cnn.weights_to_json(trained))))]
     if args.history:
@@ -370,7 +378,7 @@ def _latency_of(doc) -> SimpleNamespace:
     latency = doc["total_latency_max_sec"]
     if not isinstance(latency, (int, float)):
         raise TypeError(f"total_latency_max_sec is not a number: {latency!r}")
-    return SimpleNamespace(total_latency_max_sec=latency)
+    return SimpleNamespace(total_latency_max_sec=float(latency))
 
 
 def cmd_simulate(args) -> int:
@@ -388,7 +396,7 @@ def cmd_simulate(args) -> int:
         raise _ConfigError(f"cannot write {out}: Not a directory")
     spec = _load_spec(args.model)
     model = _load(args.weights, cnn.weights_from_json, spec)
-    _, images, labels, names = _load_corpus(Path(args.corpus), args.limit)
+    _, images, labels, names = _load_corpus(Path(args.corpus), spec.input_shape, args.limit)
     scenarios = [_load(path, partitioning.scenario_from_json)
                  for path in scenario_paths]
     placement = (_load(args.placement, partitioning.placement_from_json)

@@ -10,8 +10,10 @@ Conventions fixed for reproducibility:
   - dot products accumulate in float64 and round back to float32 at every
     layer boundary, so outputs are bit-stable on one machine and agree across
     implementations to ~1e-6;
-  - forward_batch gives forward's bits for many inputs. It applies each layer
-    to FORWARD_CHUNK (16) inputs at a time: at 32, conv L1's float64 column
+  - forward_batch gives forward's bits for many inputs, taken as one
+    (n, *input_shape) stack and returned as one (n, classes) array; its Input
+    step copies each chunk of the stack into a work buffer. It applies each
+    layer to FORWARD_CHUNK (16) inputs at a time: at 32, conv L1's float64 column
     matrix (32*900*9*8 B, about 2 MB) no longer fits a 2 MB L2 cache, and
     chunks of 8 to 24 ran within 5% of each other. Each layer's chunk
     buffers are allocated once per call and written with out=, since fresh
@@ -37,8 +39,8 @@ Conventions fixed for reproducibility:
     routes the gradient;
   - train_model gives the bits of per-sample backpropagation (_forward_acts
     and _backward, which stay as the oracle of backward_check and the tests).
-    It runs each minibatch FORWARD_CHUNK samples at a time: forward through
-    forward_batch's layer steps in float64, backward through batched steps,
+    It stacks the samples once and runs each minibatch FORWARD_CHUNK samples
+    at a time: forward through forward_batch's layer steps in float64, backward through batched steps,
     all writing into buffers allocated once per call. Every per-item
     product keeps the per-sample shapes: the conv weight gradient is a
     stacked cols^T @ dz, the column gradient W2 @ dz^T, a dense input
@@ -506,9 +508,15 @@ def _batch_step(layer: LayerSpec, wb: tuple[np.ndarray, np.ndarray] | None,
                 in_shape: tuple[int, ...], rows: int, out_dtype):
     """Check `layer` against the shape it receives and build its chunk step."""
     _check_layer_input(layer, in_shape)
-    if layer.kind == KIND_INPUT:  # takes the chunk's Tensors
+    if layer.kind == KIND_INPUT:  # copies the chunk of the input stack
         buf = np.empty((rows, *in_shape), dtype=out_dtype)
-        return lambda xs: np.stack([x.array for x in xs], out=buf[:len(xs)])
+
+        def copy_in(a: np.ndarray) -> np.ndarray:
+            out = buf[:len(a)]
+            out[...] = a
+            return out
+
+        return copy_in
     if layer.kind == KIND_POOL:
         return _batch_pool(layer, in_shape, rows, out_dtype)
     if layer.kind == KIND_FLATTEN:
@@ -522,19 +530,21 @@ def _batch_step(layer: LayerSpec, wb: tuple[np.ndarray, np.ndarray] | None,
     return _batch_dense(layer, wb, rows, out_dtype)
 
 
-def forward_batch(model: Model, xs: list[Tensor]) -> list[np.ndarray]:
-    """Run the full network on every input; bit-identical to
-    `[forward(model, x).array for x in xs]` with the same errors.
+def forward_batch(model: Model, xs: np.ndarray) -> np.ndarray:
+    """Run the full network on an (n, *input_shape) stack of float32 inputs;
+    returns a fresh (n, classes) float32 array whose row k is bit-identical
+    to `forward(model, Tensor(xs[k])).array`. The errors are forward's: a
+    wrong input shape, or a non-finite input or activation, raises
+    ShapeMismatch.
 
     Applies each layer to FORWARD_CHUNK inputs at a time, through work
-    buffers allocated once per call (see the module docstring). Each
-    returned row is a fresh array.
+    buffers allocated once per call (see the module docstring).
     """
-    for x in xs:
-        if x.shape != model.spec.input_shape:
-            raise ShapeMismatch(f"expected input {model.spec.input_shape}, got {x.shape}")
-    if not xs:
-        return []
+    if xs.shape[1:] != model.spec.input_shape:
+        raise ShapeMismatch(f"expected input {model.spec.input_shape}, got {xs.shape[1:]}")
+    outputs = np.empty((len(xs), *model.spec.layers[-1].out_shape), dtype=np.float32)
+    if not len(xs):
+        return outputs
     rows = min(len(xs), FORWARD_CHUNK)
     params = _collect_params(model)
     steps = []
@@ -542,14 +552,13 @@ def forward_batch(model: Model, xs: list[Tensor]) -> list[np.ndarray]:
     for i, layer in enumerate(model.spec.layers):
         steps.append(_batch_step(layer, params.get(i), shape, rows, np.float32))
         shape = layer.out_shape
-    outputs: list[np.ndarray] = []
     for start in range(0, len(xs), FORWARD_CHUNK):
         act = xs[start:start + FORWARD_CHUNK]
         for step in steps:
             act = step(act)
             if not np.isfinite(act).all():
                 raise ShapeMismatch("tensor elements must be finite")
-        outputs.extend(row.copy() for row in act)
+        outputs[start:start + len(act)] = act
     return outputs
 
 
@@ -816,7 +825,8 @@ def _grad_step(layer: LayerSpec, wb: tuple[np.ndarray, np.ndarray] | None,
 def _train_pass(spec: ModelSpec, params: dict, rows: int):
     """The batched forward and backward pass of up to `rows` samples.
 
-    Returns run(xs, labels) -> (acts, grads) for a chunk of Tensors: acts[i]
+    Returns run(xs, labels) -> (acts, grads) for an (n, *input_shape) chunk
+    of inputs: acts[i]
     is layer i's float64 output and grads[i] each item's (weight, bias)
     gradient, in _backward's key order, each stacked along axis 0. Both equal
     _forward_acts and _backward item by item, bit for bit, and are views of
@@ -834,7 +844,7 @@ def _train_pass(spec: ModelSpec, params: dict, rows: int):
         shape = layer.out_shape
     top = np.empty((rows, shape[0]))
 
-    def run(xs: list[Tensor], labels: list[int]):
+    def run(xs: np.ndarray, labels: list[int]):
         n = len(xs)
         acts, a = [], xs
         for step in forward:
@@ -875,9 +885,11 @@ def train_model(model: Model, images: list[Tensor], labels: list[int], *,
     for lab in labels:
         if not 0 <= lab < classes:
             raise LabelOutOfRange(f"label {lab} outside [0, {classes})")
-    for img in images:
-        if img.shape != model.spec.input_shape:
+    xs = np.empty((len(images), *model.spec.input_shape), dtype=np.float32)
+    for row, img in zip(xs, images):
+        if img.shape != row.shape:
             raise ShapeMismatch(f"sample shape {img.shape} != {model.spec.input_shape}")
+        row[...] = img.array
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
 
@@ -898,7 +910,7 @@ def train_model(model: Model, images: list[Tensor], labels: list[int], *,
             for chunk_start in range(0, len(batch), FORWARD_CHUNK):
                 chunk = batch[chunk_start:chunk_start + FORWARD_CHUNK]
                 chunk_labels = [labels[idx] for idx in chunk]
-                acts, grads = run([images[idx] for idx in chunk], chunk_labels)
+                acts, grads = run(xs[chunk], chunk_labels)
                 for probs, label in zip(acts[-1], chunk_labels):
                     loss_sum += _loss_from_probs(probs, label)
                 # the fold acc + g in sample order, from the first gradient

@@ -183,15 +183,20 @@ def downsample(img: GrayImage) -> GrayImage:
                      img.label)
 
 
-def image_to_tensor(img: GrayImage) -> Tensor:
-    """Classifier input: bytes centered at 128, shaped (side, side, 1).
+def input_values(pixels: np.ndarray) -> np.ndarray:
+    """Classifier input values of uint8 pixels of any shape: the bytes as
+    float32, centered at 128.
 
     Keeping the byte scale (rather than [0, 1]) matters for trainability:
     with the small uniform weight init, unit-scale inputs leave the deep
     default network with logits too small for SGD to escape.
     """
-    arr = img.pixels.astype(np.float32).reshape(img.side, img.side, 1)
-    return Tensor(arr - np.float32(128.0))
+    return np.subtract(pixels, np.float32(128.0), dtype=np.float32)
+
+
+def image_to_tensor(img: GrayImage) -> Tensor:
+    """Classifier input of one image: its `input_values`, shaped (side, side, 1)."""
+    return Tensor(input_values(img.pixels).reshape(img.side, img.side, 1))
 
 
 # --- synthetic corpus ------------------------------------------------------------
@@ -316,8 +321,9 @@ def write_pgm(img: GrayImage, path) -> None:
 
 
 def read_pgm(path, label: int = 0) -> GrayImage:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    # unbuffered: the whole file is read in one call, so a buffer only copies
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
     parts = data.split(b"\n", 3)
     if len(parts) != 4 or parts[0] != b"P5" or parts[2] != b"255":
         raise ShapeMismatch(f"not a supported PGM file: {path}")

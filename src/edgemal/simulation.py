@@ -18,7 +18,9 @@ The placement and the faults decide only timing and memory: the stages
 together cover every layer once, in order, and a stage taken over runs the
 same layers, so a distributed run's outputs are `forward`'s outputs.
 `simulate_inference` pairs one scenario's schedule with them, computed in one
-`cnn.forward_batch` call, which is bit-identical to `forward` per input.
+`cnn.forward_batch` call over the stacked inputs, which is bit-identical to
+`forward` per input. A report carries them as one (inputs, classes) array,
+and `report_to_json` writes it with one `tolist`.
 
 Fault model: when a child node is offline at the moment it would start a
 stage, the parent executes that stage from its full parameter replica. The
@@ -43,6 +45,7 @@ from .errors import (
     InsufficientResources,
     InvalidFault,
     InvalidPlacement,
+    ShapeMismatch,
     UnroutableTransfer,
 )
 from .partitioning import (
@@ -87,14 +90,16 @@ class SimReport:
     plus transfer time. It bounds throughput only while transfers are small:
     a transfer occupies neither its sender nor the link, so when transfers
     dominate it can exceed `makespan_sec`. `total_latency_pipeline_sec` is
-    one input's critical path; `makespan_sec` is when the last compute ends."""
+    one input's critical path; `makespan_sec` is when the last compute ends.
+    `outputs` is `cnn.forward_batch`'s (inputs, classes) float32 array, or []
+    for a `schedule` that ran no layer."""
 
     per_node: dict[str, NodeUsage]
     total_latency_max_sec: float
     total_latency_pipeline_sec: float
     makespan_sec: float
     parent_id: str
-    outputs: list[np.ndarray] = field(default_factory=list)
+    outputs: np.ndarray | list = field(default_factory=list)
     faults_handled: int = 0
     speedup_vs_baseline: float | None = None
     warnings: list[str] = field(default_factory=list)
@@ -115,7 +120,8 @@ def simulate_inference(scenario: NetworkScenario, placement: Placement,
                        model: cnn.Model, inputs: list[Tensor],
                        faults: list[FaultEvent] = ()) -> SimReport:
     """Run placed inference with pipelined inputs and fault takeover: the
-    `schedule` of `inputs`, with their `cnn.forward_batch` outputs.
+    `schedule` of `inputs`, with the `cnn.forward_batch` outputs of their
+    stack. An input of another shape than the model's raises ShapeMismatch.
 
     Outputs are exact regardless of placement and faults: a failed stage runs
     on the parent from its replica, with the stage's compute charged to the
@@ -123,7 +129,12 @@ def simulate_inference(scenario: NetworkScenario, placement: Placement,
     bytes per parameter; `schedule` takes another.
     """
     report = schedule(scenario, placement, model.spec, len(inputs), faults)
-    report.outputs = cnn.forward_batch(model, inputs)
+    xs = np.empty((len(inputs), *model.spec.input_shape), dtype=np.float32)
+    for row, x in zip(xs, inputs):
+        if x.shape != row.shape:
+            raise ShapeMismatch(f"expected input {row.shape}, got {x.shape}")
+        row[...] = x.array
+    report.outputs = cnn.forward_batch(model, xs)
     return report
 
 
@@ -277,6 +288,7 @@ def resource_report(report: SimReport) -> list[dict]:
 # --- report interchange ----------------------------------------------------------
 
 def report_to_json(report: SimReport) -> dict:
+    outputs = np.asarray(report.outputs)
     doc = {
         "parent_id": report.parent_id,
         "total_latency_max_sec": report.total_latency_max_sec,
@@ -293,8 +305,8 @@ def report_to_json(report: SimReport) -> dict:
             }
             for nid, u in sorted(report.per_node.items())
         },
-        "outputs": [[float(v) for v in out] for out in report.outputs],
-        "predictions": [int(np.argmax(out)) for out in report.outputs],
+        "outputs": outputs.tolist(),
+        "predictions": outputs.argmax(axis=1).tolist() if len(outputs) else [],
     }
     if report.speedup_vs_baseline is not None:
         doc["speedup_vs_baseline"] = report.speedup_vs_baseline

@@ -928,11 +928,20 @@ _REPORT_OK = {"parent_id": "p", "total_latency_max_sec": 1.0,
     pytest.param("image", lambda data: b"P6" + data[2:], "simulate",
                  id="image-p6-header"),
     pytest.param("traces", lambda data: b"", "rank-events", id="traces-empty"),
+    pytest.param("scenario", _set(("nodes", 1, "speed_flops_per_sec"), 10**400),
+                 "partition", id="scenario-speed-too-large-for-float"),
+    pytest.param("scenario", _set(("nodes", 1, "position"), [10**400, 0]), "partition",
+                 id="scenario-position-too-large-for-float"),
+    pytest.param("faults", _set((0, "time_sec"), 10**400), "simulate",
+                 id="faults-time-too-large-for-float"),
+    pytest.param("baseline", _set(("total_latency_max_sec",), 10**400),
+                 "simulate-baseline", id="baseline-latency-too-large-for-float"),
 ])
 def test_malformed_input_exits_2(target, mutate, command, small_corpus,
                                  tiny_weights, tmp_path, capsys):
     docs = _shipped_inputs(tiny_weights)
     docs["report"] = {}
+    docs["baseline"] = {"total_latency_max_sec": 1.0}
     docs["regressor"] = _REGRESSOR
     docs["manifest"] = read_json(small_corpus / "manifest.json")
     first_image = docs["manifest"]["samples"][0]["file"]
@@ -954,6 +963,8 @@ def test_malformed_input_exits_2(target, mutate, command, small_corpus,
     out = tmp_path / "out.json"
     argv = {
         "simulate": _simulate_argv(files, corpus, out),
+        "simulate-baseline": [*_simulate_argv(files, corpus, out),
+                              "--baseline", files["baseline"]],
         "partition": ["partition", "--scenario", files["scenario"], "--out", out],
         "report": ["report", "--report", files["report"], "--out", out],
         "estimate": ["estimate", "--regressor", files["regressor"],

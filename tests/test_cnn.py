@@ -512,6 +512,11 @@ def test_training_bits_pinned(default_spec, pin_corpus):
 
 # --- forward_batch ---
 
+def _stack(xs: list) -> np.ndarray:
+    """The (n, *shape) input stack of equal-shaped Tensors."""
+    return np.stack([x.array for x in xs])
+
+
 def test_forward_batch_bits_pinned(default_spec, pin_corpus):
     from edgemal.cli import data_path
 
@@ -519,7 +524,7 @@ def test_forward_batch_bits_pinned(default_spec, pin_corpus):
         read_json(data_path("trained", "default_weights.json")), default_spec)
     assert len(pin_corpus[0]) > cnn.FORWARD_CHUNK
     digest = hashlib.sha256()
-    for probs in cnn.forward_batch(model, pin_corpus[0]):
+    for probs in cnn.forward_batch(model, _stack(pin_corpus[0])):
         digest.update(probs.tobytes())
     assert digest.hexdigest() == \
         "38d28bd0af4da6f2983fe1fddd6222824666b7474029e2d4a07d0bf4f7d486c2"
@@ -529,16 +534,16 @@ def test_forward_batch_bits_pinned(default_spec, pin_corpus):
                                    cnn.FORWARD_CHUNK + 1, 2 * cnn.FORWARD_CHUNK + 1])
 def test_forward_batch_equals_forward(default_spec, tiny_spec, count):
     """Also: rows of the first chunk keep their bits while later chunks reuse
-    the work buffers."""
+    the work buffers, and the result is a fresh array."""
     for spec, seed in ((default_spec, 3), (tiny_spec, 4)):
         model = cnn.build_model(spec, seed)
         xs = [rand_tensor(spec.input_shape, seed * 100 + i, -1e3, 1e3)
               for i in range(count)]
-        got = cnn.forward_batch(model, xs)
-        assert len(got) == count
+        got = cnn.forward_batch(model, _stack(xs))
+        assert got.shape == (count, spec.layers[-1].units)
         for out, x in zip(got, xs):
             _assert_same_bits(out, cnn.forward(model, x).array)
-        assert not any(np.shares_memory(a, b) for a, b in zip(got, got[1:]))
+        assert got.base is None
 
 
 @pytest.mark.parametrize("count", [1, cnn.FORWARD_CHUNK, cnn.FORWARD_CHUNK + 1])
@@ -549,9 +554,8 @@ def test_forward_batch_products_match_per_sample_bits(default_spec, monkeypatch,
     that follows, so the output-level tests above may not see it."""
     model = cnn.build_model(default_spec, 5)
     rng = SplitMix64(17)
-    xs = [cnn.Tensor(rng.normals(int(np.prod(default_spec.input_shape)))
-                     .astype(np.float32).reshape(default_spec.input_shape))
-          for _ in range(count)]
+    xs = (rng.normals(count * int(np.prod(default_spec.input_shape)))
+          .astype(np.float32).reshape(count, *default_spec.input_shape))
     calls = []
     matmul = np.matmul
 
@@ -581,13 +585,25 @@ def test_forward_batch_products_match_per_sample_bits(default_spec, monkeypatch,
 
 
 def test_forward_batch_empty(tiny_spec):
-    assert cnn.forward_batch(cnn.build_model(tiny_spec, 0), []) == []
+    got = cnn.forward_batch(cnn.build_model(tiny_spec, 0), np.empty((0, 6, 6, 1), np.float32))
+    assert got.shape == (0, 3) and got.dtype == np.float32
 
 
 def test_forward_batch_rejects_wrong_shape(tiny_spec):
     model = cnn.build_model(tiny_spec, 0)
-    xs = [rand_tensor((6, 6, 1), i) for i in range(3)] + [rand_tensor((6, 5, 1), 3)]
-    with pytest.raises(ShapeMismatch):
+    for shape in ((4, 6, 5, 1), (4, 6, 6), (4, 6, 6, 2), (0, 5, 6, 1), (36,)):
+        with pytest.raises(ShapeMismatch, match=r"expected input \(6, 6, 1\), got \("):
+            cnn.forward_batch(model, np.zeros(shape, dtype=np.float32))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, cnn.FORWARD_CHUNK + 1])
+def test_forward_batch_rejects_non_finite_input(tiny_spec, value, row):
+    """A non-finite input row, in the first chunk or a later one."""
+    model = cnn.build_model(tiny_spec, 0)
+    xs = _stack([rand_tensor((6, 6, 1), i) for i in range(cnn.FORWARD_CHUNK + 3)])
+    xs[row, 2, 3, 0] = value
+    with pytest.raises(ShapeMismatch, match="finite"):
         cnn.forward_batch(model, xs)
 
 
@@ -603,9 +619,9 @@ def test_forward_batch_dense_overflow_rejected():
     model.weights[2] = cnn.LayerWeights(
         cnn.Tensor(np.full((2, 1), 3e38, dtype=np.float32)),
         cnn.Tensor(np.zeros(1, dtype=np.float32)))
-    xs = [cnn.Tensor(np.zeros((1, 2, 1), dtype=np.float32)) for _ in range(5)]
+    xs = np.zeros((5, 1, 2, 1), dtype=np.float32)
     assert len(cnn.forward_batch(model, xs)) == 5
-    xs[2] = cnn.Tensor(np.ones((1, 2, 1), dtype=np.float32))
+    xs[2] = 1.0
     with np.errstate(over="ignore"), pytest.raises(ShapeMismatch):
         cnn.forward_batch(model, xs)
 
@@ -614,16 +630,15 @@ def test_forward_batch_missing_weight(tiny_spec):
     model = cnn.build_model(tiny_spec, 0)
     del model.weights[4]
     with pytest.raises(ShapeMismatch):
-        cnn.forward_batch(model, [rand_tensor((6, 6, 1), 0)])
+        cnn.forward_batch(model, _stack([rand_tensor((6, 6, 1), 0)]))
 
 
 def test_forward_batch_writes_no_input(default_spec):
     model = cnn.build_model(default_spec, 42)
-    xs = [rand_tensor(default_spec.input_shape, 42 + i) for i in range(3)]
-    saved = [x.array.copy() for x in xs]
+    xs = _stack([rand_tensor(default_spec.input_shape, 42 + i) for i in range(3)])
+    saved = xs.copy()
     cnn.forward_batch(model, xs)
-    for x, before in zip(xs, saved):
-        _assert_same_bits(x.array, before)
+    _assert_same_bits(xs, saved)
 
 
 # --- flop counting ---
@@ -812,7 +827,7 @@ def test_train_pass_matches_per_sample_bits(default_spec, tiny_spec, name, count
     run = cnn._train_pass(model.spec, params, min(count, cnn.FORWARD_CHUNK))
     for start in range(0, count, cnn.FORWARD_CHUNK):
         chunk = range(start, min(count, start + cnn.FORWARD_CHUNK))
-        acts, grads = run([xs[k] for k in chunk], [labels[k] for k in chunk])
+        acts, grads = run(_stack([xs[k] for k in chunk]), [labels[k] for k in chunk])
         for item, k in enumerate(chunk):
             x = xs[k].array.astype(np.float64)
             want_acts = cnn._forward_acts(model.spec, params, x, np.float64)
@@ -990,12 +1005,12 @@ def test_training_pass_writes_no_input(default_spec, tiny_spec, monkeypatch):
         # the batched pass, over two chunks
         images = [rand_tensor(spec.input_shape, seed + i) for i in range(cnn.FORWARD_CHUNK + 3)]
         labels = [i % model.spec.layers[-1].units for i in range(len(images))]
-        saved_images = [x.array.copy() for x in images]
+        stacked = _stack(images)
+        saved_images = stacked.copy()
         run = cnn._train_pass(model.spec, params, cnn.FORWARD_CHUNK)
         for start in range(0, len(images), cnn.FORWARD_CHUNK):
-            run(images[start:start + cnn.FORWARD_CHUNK], labels[start:start + cnn.FORWARD_CHUNK])
-        for x, before in zip(images, saved_images):
-            _assert_same_bits(x.array, before)
+            run(stacked[start:start + cnn.FORWARD_CHUNK], labels[start:start + cnn.FORWARD_CHUNK])
+        _assert_same_bits(stacked, saved_images)
         for i, (w, b) in params.items():
             _assert_same_bits(w, saved_params[i][0])
             _assert_same_bits(b, saved_params[i][1])
