@@ -13,8 +13,8 @@ Conventions fixed for reproducibility:
   - forward_batch gives forward's bits for many inputs, taken as one
     (n, *input_shape) stack and returned as one (n, classes) array; its Input
     step copies each chunk of the stack into a work buffer. It applies each
-    layer to FORWARD_CHUNK (16) inputs at a time: at 32, conv L1's float64 column
-    matrix (32*900*9*8 B, about 2 MB) no longer fits a 2 MB L2 cache, and
+    layer to FORWARD_CHUNK (16) inputs at a time: at 32, conv L1's float64
+    column matrix (32*900*9*8 B, about 2 MB) no longer fits a 2 MB L2 cache, and
     chunks of 8 to 24 ran within 5% of each other. Each layer's chunk
     buffers are allocated once per call and written with out=, since fresh
     temporaries for every chunk cost tens of page faults per input and made
@@ -40,8 +40,9 @@ Conventions fixed for reproducibility:
   - train_model gives the bits of per-sample backpropagation (_forward_acts
     and _backward, which stay as the oracle of backward_check and the tests).
     It stacks the samples once and runs each minibatch FORWARD_CHUNK samples
-    at a time: forward through forward_batch's layer steps in float64, backward through batched steps,
-    all writing into buffers allocated once per call. Every per-item
+    at a time: forward through forward_batch's layer steps in float64,
+    backward through batched steps, all writing into buffers allocated once
+    per call. Every per-item
     product keeps the per-sample shapes: the conv weight gradient is a
     stacked cols^T @ dz, the column gradient W2 @ dz^T, a dense input
     gradient W @ dz as (K, N) @ (n, N, 1), one gemv per item. Pool backward
@@ -826,11 +827,10 @@ def _train_pass(spec: ModelSpec, params: dict, rows: int):
     """The batched forward and backward pass of up to `rows` samples.
 
     Returns run(xs, labels) -> (acts, grads) for an (n, *input_shape) chunk
-    of inputs: acts[i]
-    is layer i's float64 output and grads[i] each item's (weight, bias)
-    gradient, in _backward's key order, each stacked along axis 0. Both equal
-    _forward_acts and _backward item by item, bit for bit, and are views of
-    work buffers that the next call overwrites. `params` is read at every
+    of inputs: acts[i] is layer i's float64 output and grads[i] each item's
+    (weight, bias) gradient, in _backward's key order, each stacked along
+    axis 0. Both equal _forward_acts and _backward item by item, bit for
+    bit, and are views of work buffers that the next call overwrites. `params` is read at every
     call, so it may be updated in place between calls.
     """
     first = min(params)
