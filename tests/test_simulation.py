@@ -11,6 +11,7 @@ from edgemal.errors import (
     InsufficientResources,
     InvalidFault,
     InvalidPlacement,
+    ShapeMismatch,
     UnroutableTransfer,
 )
 from edgemal.rng import SplitMix64
@@ -340,6 +341,17 @@ def test_invalid_placement_rejected(tiny_spec):
     bad = partitioning.Placement([("p", (0, 3))], "p")  # misses layers 3..5
     with pytest.raises(InvalidPlacement):
         simulation.simulate_inference(net, bad, model, [])
+
+
+def test_simulate_inference_rejects_mixed_shapes(tiny_spec):
+    """The inputs are stacked for `forward_batch`; an input of another shape
+    is the model's shape error, not a failed stack."""
+    model = cnn.build_model(tiny_spec, 5)
+    net = fleet([("p", 10 * MB, 1e3, 0.0, (0, 0))], [])
+    placement = partitioning.Placement([("p", (0, 6))], "p")
+    xs = [rand_tensor((6, 6, 1), 0), rand_tensor((6, 5, 1), 1), rand_tensor((6, 6, 1), 2)]
+    with pytest.raises(ShapeMismatch, match=r"expected input \(6, 6, 1\), got \(6, 5, 1\)"):
+        simulation.simulate_inference(net, placement, model, xs)
 
 
 # --- speedup and resource report ---
