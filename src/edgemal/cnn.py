@@ -13,13 +13,13 @@ Conventions fixed for reproducibility:
   - forward_batch gives forward's bits for many inputs, taken as one
     (n, *input_shape) stack and returned as one (n, classes) array; its Input
     step copies each chunk of the stack into a work buffer. It applies each
-    layer to FORWARD_CHUNK (16) inputs at a time: at 32, conv L1's float64
-    column matrix (32*900*9*8 B, about 2 MB) no longer fits a 2 MB L2 cache, and
-    chunks of 8 to 24 ran within 5% of each other. Each layer's chunk
-    buffers are allocated once per call and written with out=, since fresh
-    temporaries for every chunk cost tens of page faults per input and made
-    the batch slower than one forward per input. Every float64 sum
-    keeps forward's operands and order: the conv is a stacked
+    layer to FORWARD_CHUNK (16) inputs at a time, sized to one core's 2 MB L2
+    cache: at 32, conv L1's float64 column matrix (32*900*9*8 B, about 2 MB)
+    no longer fits it, and chunks of 8 to 24 ran within 5% of each other.
+    Each layer's chunk buffers are allocated once per worker and written with
+    out=, since fresh temporaries for every chunk cost tens of page faults
+    per input and made the batch slower than one forward per input. Every
+    float64 sum keeps forward's operands and order: the conv is a stacked
     (B, oh*ow, K) @ (K, F) matmul, one gemm per item with forward's shapes;
     Dense and Softmax keep a unit row axis, (B, 1, K) @ (K, N), because a
     plain (B, K) @ (K, N) gemm sums in another order; the conv bias is one
@@ -42,25 +42,42 @@ Conventions fixed for reproducibility:
     It stacks the samples once and runs each minibatch FORWARD_CHUNK samples
     at a time: forward through forward_batch's layer steps in float64,
     backward through batched steps, all writing into buffers allocated once
-    per call. Every per-item
-    product keeps the per-sample shapes: the conv weight gradient is a
-    stacked cols^T @ dz, the column gradient W2 @ dz^T, a dense input
-    gradient W @ dz as (K, N) @ (n, N, 1), one gemv per item. Pool backward
-    is one scatter and col2im one bincount, with each item's indices offset
-    past the earlier items. A conv bias gradient is dz.sum(axis=1), which
+    per worker. Every per-item product keeps the per-sample shapes: the conv
+    weight gradient is a stacked cols^T @ dz, the column gradient
+    W2 @ dz^T, a dense input gradient W @ dz as (K, N) @ (n, N, 1), one
+    gemv per item. Pool backward is one scatter and col2im one bincount,
+    with each item's indices offset past the earlier items. A conv bias gradient is dz.sum(axis=1), which
     sums each item as the per-sample dz2.sum(axis=0) does: row by row, or
     pairwise when f = 1. The minibatch gradient is the fold acc = g[0];
     acc = acc + g[k] in sample order. An np.sum or np.add.reduce over the
     item axis is not: it starts from +0.0, so a column that is -0.0 for
     every item (a dead relu unit's bias) comes out +0.0, and a bias of -0.0
-    updated by it stays -0.0 where the fold gives +0.0.
+    updated by it stays -0.0 where the fold gives +0.0;
+  - forward_batch and train_model spread their chunks over the CPUs the
+    process may run on (os.sched_getaffinity, else os.cpu_count), one worker
+    per CPU and at most one per chunk. forward_batch deals chunk k to worker
+    k mod w, and each worker writes its own rows of the output. train_model
+    runs the chunks of a minibatch one per worker at a time, then adds their
+    losses and folds their gradients on the calling thread. Each worker has
+    its own work buffers. The bits cannot change: a chunk's result depends
+    only on its inputs and the weights, and every sum across chunks runs on
+    the calling thread in sample order, as with one worker. The first worker
+    is the calling thread and each other runs on a thread of its own, in a
+    copy of the caller's contextvars context, so the caller's np.errstate
+    holds in every worker. Every thread is joined before the call returns
+    or raises the error of the earliest worker that failed. With one CPU or
+    one chunk no thread starts. Workers call no public function, so an
+    outside-in tracer sees one span per call.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -531,6 +548,46 @@ def _batch_step(layer: LayerSpec, wb: tuple[np.ndarray, np.ndarray] | None,
     return _batch_dense(layer, wb, rows, out_dtype)
 
 
+# --- running chunks on every CPU -------------------------------------------------
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_jobs(jobs: list) -> list:
+    """Call every job: the first on the calling thread, each other on a
+    thread of its own, all in a copy of the caller's context, so that its
+    np.errstate holds in every job. Returns the results in job order, or
+    raises the error of the earliest job that failed. Every thread is joined
+    before the call returns or raises."""
+    outcomes: list = [None] * len(jobs)
+
+    def run(k: int) -> None:
+        try:
+            outcomes[k] = (jobs[k](), None)
+        except BaseException as exc:  # re-raised on the calling thread below
+            outcomes[k] = (None, exc)
+
+    threads = []
+    try:
+        for k in range(1, len(jobs)):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, k))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for _, exc in outcomes:
+        if exc is not None:
+            raise exc
+    return [result for result, _ in outcomes]
+
+
 def forward_batch(model: Model, xs: np.ndarray) -> np.ndarray:
     """Run the full network on an (n, *input_shape) stack of float32 inputs;
     returns a fresh (n, classes) float32 array whose row k is bit-identical
@@ -539,27 +596,34 @@ def forward_batch(model: Model, xs: np.ndarray) -> np.ndarray:
     ShapeMismatch.
 
     Applies each layer to FORWARD_CHUNK inputs at a time, through work
-    buffers allocated once per call (see the module docstring).
+    buffers allocated once per worker, and deals the chunks out to one
+    worker per CPU (see the module docstring).
     """
     if xs.shape[1:] != model.spec.input_shape:
         raise ShapeMismatch(f"expected input {model.spec.input_shape}, got {xs.shape[1:]}")
     outputs = np.empty((len(xs), *model.spec.layers[-1].out_shape), dtype=np.float32)
-    if not len(xs):
+    starts = range(0, len(xs), FORWARD_CHUNK)
+    if not starts:
         return outputs
     rows = min(len(xs), FORWARD_CHUNK)
     params = _collect_params(model)
-    steps = []
-    shape = model.spec.input_shape
-    for i, layer in enumerate(model.spec.layers):
-        steps.append(_batch_step(layer, params.get(i), shape, rows, np.float32))
-        shape = layer.out_shape
-    for start in range(0, len(xs), FORWARD_CHUNK):
-        act = xs[start:start + FORWARD_CHUNK]
-        for step in steps:
-            act = step(act)
-            if not np.isfinite(act).all():
-                raise ShapeMismatch("tensor elements must be finite")
-        outputs[start:start + len(act)] = act
+
+    def work(share: range) -> None:
+        steps = []
+        shape = model.spec.input_shape
+        for i, layer in enumerate(model.spec.layers):
+            steps.append(_batch_step(layer, params.get(i), shape, rows, np.float32))
+            shape = layer.out_shape
+        for start in share:
+            act = xs[start:start + FORWARD_CHUNK]
+            for step in steps:
+                act = step(act)
+                if not np.isfinite(act).all():
+                    raise ShapeMismatch("tensor elements must be finite")
+            outputs[start:start + len(act)] = act
+
+    workers = min(_cpu_count(), len(starts))
+    _run_jobs([functools.partial(work, starts[w::workers]) for w in range(workers)])
     return outputs
 
 
@@ -895,7 +959,9 @@ def train_model(model: Model, images: list[Tensor], labels: list[int], *,
 
     trained = model.copy()
     params = _collect_params(trained)
-    run = _train_pass(trained.spec, params, min(len(images), batch_size, FORWARD_CHUNK))
+    rows = min(len(images), batch_size, FORWARD_CHUNK)
+    workers = min(_cpu_count(), -(-min(len(images), batch_size) // FORWARD_CHUNK))
+    runners = [_train_pass(trained.spec, params, rows) for _ in range(workers)]
     rng = SplitMix64(seed)
     lr = np.float32(learning_rate)
     history: list[float] = []
@@ -907,21 +973,25 @@ def train_model(model: Model, images: list[Tensor], labels: list[int], *,
             batch = order[start:start + batch_size]
             acc: dict[int, tuple[np.ndarray, np.ndarray]] = {}
             loss_sum = 0.0
-            for chunk_start in range(0, len(batch), FORWARD_CHUNK):
-                chunk = batch[chunk_start:chunk_start + FORWARD_CHUNK]
-                chunk_labels = [labels[idx] for idx in chunk]
-                acts, grads = run(xs[chunk], chunk_labels)
-                for probs, label in zip(acts[-1], chunk_labels):
-                    loss_sum += _loss_from_probs(probs, label)
-                # the fold acc + g in sample order, from the first gradient
-                for i, (gw, gb) in grads.items():
-                    if i not in acc:
-                        acc[i] = (gw[0].copy(), gb[0].copy())
-                        gw, gb = gw[1:], gb[1:]
-                    aw, ab = acc[i]
-                    for item_w, item_b in zip(gw, gb):
-                        np.add(aw, item_w, out=aw)
-                        np.add(ab, item_b, out=ab)
+            chunks = [batch[c:c + FORWARD_CHUNK] for c in range(0, len(batch), FORWARD_CHUNK)]
+            # one chunk per runner at a time, then the fold in sample order
+            for first in range(0, len(chunks), workers):
+                group = chunks[first:first + workers]
+                passes = _run_jobs([
+                    functools.partial(run, xs[chunk], [labels[idx] for idx in chunk])
+                    for run, chunk in zip(runners, group)])
+                for chunk, (acts, grads) in zip(group, passes):
+                    for probs, idx in zip(acts[-1], chunk):
+                        loss_sum += _loss_from_probs(probs, labels[idx])
+                    # the fold acc + g in sample order, from the first gradient
+                    for i, (gw, gb) in grads.items():
+                        if i not in acc:
+                            acc[i] = (gw[0].copy(), gb[0].copy())
+                            gw, gb = gw[1:], gb[1:]
+                        aw, ab = acc[i]
+                        for item_w, item_b in zip(gw, gb):
+                            np.add(aw, item_w, out=aw)
+                            np.add(ab, item_b, out=ab)
             scale = 1.0 / len(batch)
             if clip_norm is not None:
                 sq = sum(float(np.sum((gw * scale) ** 2) + np.sum((gb * scale) ** 2))

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -607,9 +609,11 @@ def test_forward_batch_rejects_non_finite_input(tiny_spec, value, row):
         cnn.forward_batch(model, xs)
 
 
-def test_forward_batch_dense_overflow_rejected():
+def test_forward_batch_dense_overflow_rejected(monkeypatch):
     """The overflow of test_dense_overflow_to_inf_rejected, as the third input
-    of a chunk whose other inputs stay finite."""
+    of a chunk whose other inputs stay finite; then in a chunk that a second
+    worker runs, where the caller's np.errstate must hold as well (without
+    it the overflow raises RuntimeWarning there, not ShapeMismatch)."""
     model = cnn.build_model(cnn.ModelSpec((1, 2, 1), (
         cnn.LayerSpec("Input"),
         cnn.LayerSpec("Flatten"),
@@ -623,6 +627,13 @@ def test_forward_batch_dense_overflow_rejected():
     assert len(cnn.forward_batch(model, xs)) == 5
     xs[2] = 1.0
     with np.errstate(over="ignore"), pytest.raises(ShapeMismatch):
+        cnn.forward_batch(model, xs)
+
+    _force_workers(monkeypatch, 2)
+    xs = np.zeros((2 * cnn.FORWARD_CHUNK, 1, 2, 1), dtype=np.float32)
+    assert len(cnn.forward_batch(model, xs)) == len(xs)
+    xs[cnn.FORWARD_CHUNK + 2] = 1.0
+    with np.errstate(over="ignore"), pytest.raises(ShapeMismatch, match="finite"):
         cnn.forward_batch(model, xs)
 
 
@@ -639,6 +650,150 @@ def test_forward_batch_writes_no_input(default_spec):
     saved = xs.copy()
     cnn.forward_batch(model, xs)
     _assert_same_bits(xs, saved)
+
+
+# --- chunks on several workers ---
+#
+# forward_batch deals its chunks out to one worker per CPU, and train_model
+# runs the chunks of a minibatch one per worker at a time. The tests force
+# the worker count through cnn._cpu_count; worker k runs chunks k, k + w, ...
+
+def _force_workers(monkeypatch, count):
+    monkeypatch.setattr(cnn, "_cpu_count", lambda: count)
+
+
+def _count_threads(monkeypatch) -> list:
+    """Records every thread started from here on."""
+    started, thread = [], threading.Thread
+
+    def counting(*args, **kwargs):
+        started.append(1)
+        return thread(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", counting)
+    return started
+
+
+def test_run_jobs_results_in_order_and_earliest_error():
+    def fail(message):
+        def job():
+            raise ValueError(message)
+        return job
+
+    before = threading.active_count()
+    assert cnn._run_jobs([lambda k=k: k * k for k in range(4)]) == [0, 1, 4, 9]
+    with pytest.raises(ValueError, match="^job 1$"):
+        cnn._run_jobs([lambda: 0, fail("job 1"), fail("job 2")])
+    with pytest.raises(ValueError, match="^job 0$"):
+        cnn._run_jobs([fail("job 0"), lambda: 1, fail("job 2")])
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("count", [1, cnn.FORWARD_CHUNK + 1, 3 * cnn.FORWARD_CHUNK + 2])
+def test_forward_batch_workers_equal_forward(default_spec, monkeypatch, count):
+    model = cnn.build_model(default_spec, 9)
+    xs = [rand_tensor(default_spec.input_shape, 900 + i, -1e3, 1e3) for i in range(count)]
+    want = [cnn.forward(model, x).array for x in xs]
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        got = cnn.forward_batch(model, _stack(xs))
+        assert len(got) == count
+        for out, ref in zip(got, want):
+            _assert_same_bits(out, ref)
+
+
+def test_more_workers_than_cores_under_fast_thread_switches(tiny_spec, monkeypatch):
+    """Seven workers switching threads every microsecond: each output row and
+    each gradient fold still gets one worker's bits."""
+    model = cnn.build_model(tiny_spec, 3)
+    images = [rand_tensor((6, 6, 1), 300 + i, -1.0, 1.0) for i in range(7 * cnn.FORWARD_CHUNK)]
+    labels = [i % 3 for i in range(len(images))]
+    xs = _stack(images)
+    kwargs = dict(epochs=2, learning_rate=0.1, batch_size=len(images), seed=3)
+    _force_workers(monkeypatch, 1)
+    want = cnn.forward_batch(model, xs)
+    want_model, want_history = cnn.train_model(model, images, labels, **kwargs)
+    _force_workers(monkeypatch, 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _assert_same_bits(cnn.forward_batch(model, xs), want)
+        trained, history = cnn.train_model(model, images, labels, **kwargs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert history == want_history
+    for i, lw in want_model.weights.items():
+        _assert_same_bits(trained.weights[i].weight.array, lw.weight.array)
+        _assert_same_bits(trained.weights[i].bias.array, lw.bias.array)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_forward_batch_non_finite_in_a_worker_chunk(tiny_spec, monkeypatch, value, chunk):
+    _force_workers(monkeypatch, 3)
+    model = cnn.build_model(tiny_spec, 0)
+    xs = _stack([rand_tensor((6, 6, 1), i) for i in range(3 * cnn.FORWARD_CHUNK)])
+    xs[chunk * cnn.FORWARD_CHUNK + 5, 4, 1, 0] = value
+    with pytest.raises(ShapeMismatch, match="finite"):
+        cnn.forward_batch(model, xs)
+
+
+def test_one_worker_or_one_chunk_starts_no_thread(tiny_spec, monkeypatch):
+    model = cnn.build_model(tiny_spec, 0)
+    images = [rand_tensor((6, 6, 1), i) for i in range(2 * cnn.FORWARD_CHUNK + 1)]
+    labels = [i % 3 for i in range(len(images))]
+    started = _count_threads(monkeypatch)
+    _force_workers(monkeypatch, 1)
+    cnn.forward_batch(model, _stack(images))
+    cnn.train_model(model, images, labels, epochs=1, learning_rate=0.1, batch_size=40, seed=1)
+    _force_workers(monkeypatch, 4)
+    cnn.forward_batch(model, _stack(images[:cnn.FORWARD_CHUNK]))
+    cnn.train_model(model, images, labels, epochs=1, learning_rate=0.1,
+                    batch_size=cnn.FORWARD_CHUNK, seed=1)
+    assert not started
+    cnn.forward_batch(model, _stack(images))
+    assert len(started) == 2
+
+
+def test_no_thread_outlives_a_call(tiny_spec, monkeypatch):
+    """Neither a call that returns nor one that raises leaves a thread behind."""
+    _force_workers(monkeypatch, 3)
+    model = cnn.build_model(tiny_spec, 0)
+    images = [rand_tensor((6, 6, 1), i) for i in range(3 * cnn.FORWARD_CHUNK)]
+    labels = [i % 3 for i in range(len(images))]
+    xs = _stack(images)
+    started = _count_threads(monkeypatch)
+    before = threading.active_count()
+    cnn.forward_batch(model, xs)
+    cnn.train_model(model, images, labels, epochs=1, learning_rate=0.1, batch_size=48, seed=1)
+    assert threading.active_count() == before
+    assert len(started) == 2 + 2
+
+    xs[2 * cnn.FORWARD_CHUNK, 0, 0, 0] = np.nan
+    with pytest.raises(ShapeMismatch, match="finite"):
+        cnn.forward_batch(model, xs)
+    assert threading.active_count() == before
+
+    build = cnn._train_pass
+    runners = []
+
+    def second_runner_fails(spec, params, rows):
+        runners.append(build(spec, params, rows))
+        if len(runners) == 1:
+            return runners[0]
+
+        def run(chunk, chunk_labels):
+            raise RuntimeError("worker pass failed")
+
+        return run
+
+    monkeypatch.setattr(cnn, "_train_pass", second_runner_fails)
+    with pytest.raises(RuntimeError, match="worker pass failed"):
+        cnn.train_model(model, images, labels, epochs=1, learning_rate=0.1, batch_size=48,
+                        seed=1)
+    assert len(runners) == 3
+    assert threading.active_count() == before
 
 
 # --- flop counting ---
@@ -898,6 +1053,26 @@ def test_train_matches_per_sample_reference(default_spec, tiny_spec, name, batch
         _assert_same_bits(trained.weights[i].bias.array, lw.bias.array)
     if name == "dead-relu":  # the -0.0 bias became +0.0, as the fold has it
         assert not np.signbit(trained.weights[2].bias.array[0])
+
+
+@pytest.mark.parametrize("name", ["default", "tiny", "dead-relu"])
+@pytest.mark.parametrize("batch_size", [2 * cnn.FORWARD_CHUNK, 40])
+def test_train_workers_match_per_sample_reference(default_spec, tiny_spec, monkeypatch, name,
+                                                  batch_size):
+    """Two chunks of a minibatch trained at once give the bits of one worker
+    and of the reference. A batch of 40 ends on a ragged 8-sample chunk."""
+    model, draw = _train_case(name, default_spec, tiny_spec)
+    images, labels = draw(45)
+    kwargs = dict(epochs=2, learning_rate=0.1, batch_size=batch_size, seed=13,
+                  clip_norm=0.5 if name == "default" else None)
+    want, want_history = _reference_train(model, images, labels, **kwargs)
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        trained, history = cnn.train_model(model, images, labels, **kwargs)
+        assert history == want_history
+        for i, lw in want.weights.items():
+            _assert_same_bits(trained.weights[i].weight.array, lw.weight.array)
+            _assert_same_bits(trained.weights[i].bias.array, lw.bias.array)
 
 
 # --- gradient checking ---
