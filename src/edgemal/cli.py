@@ -258,12 +258,13 @@ def cmd_train(args) -> int:
     class_names, images, labels, _ = _load_corpus(Path(args.corpus), spec.input_shape)
     train_idx, test_idx = features.split_corpus(labels, args.train_frac, args.seed)
     model = cnn.build_model(spec, args.seed)
+    train_images, train_labels = images[train_idx], [labels[i] for i in train_idx]
     trained, history = cnn.train_model(
-        model, [cnn.Tensor(x) for x in images[train_idx]], [labels[i] for i in train_idx],
+        model, train_images, train_labels,
         epochs=args.epochs, learning_rate=args.learning_rate,
         batch_size=args.batch_size, seed=args.seed,
         clip_norm=args.clip_norm if args.clip_norm > 0 else None)
-    train_acc = _accuracy(trained, images[train_idx], [labels[i] for i in train_idx])
+    train_acc = _accuracy(trained, train_images, train_labels)
     test_acc = _accuracy(trained, images[test_idx], [labels[i] for i in test_idx])
 
     writes = [(Path(args.out), _text_writer(_dump_json(cnn.weights_to_json(trained))))]

@@ -39,20 +39,21 @@ Conventions fixed for reproducibility:
     routes the gradient;
   - train_model gives the bits of per-sample backpropagation (_forward_acts
     and _backward, which stay as the oracle of backward_check and the tests).
-    It stacks the samples once and runs each minibatch FORWARD_CHUNK samples
-    at a time: forward through forward_batch's layer steps in float64,
-    backward through batched steps, all writing into buffers allocated once
-    per worker. Every per-item product keeps the per-sample shapes: the conv
-    weight gradient is a stacked cols^T @ dz, the column gradient
-    W2 @ dz^T, a dense input gradient W @ dz as (K, N) @ (n, N, 1), one
-    gemv per item. Pool backward is one scatter and col2im one bincount,
-    with each item's indices offset past the earlier items. A conv bias gradient is dz.sum(axis=1), which
-    sums each item as the per-sample dz2.sum(axis=0) does: row by row, or
-    pairwise when f = 1. The minibatch gradient is the fold acc = g[0];
-    acc = acc + g[k] in sample order. An np.sum or np.add.reduce over the
-    item axis is not: it starts from +0.0, so a column that is -0.0 for
-    every item (a dead relu unit's bias) comes out +0.0, and a bias of -0.0
-    updated by it stays -0.0 where the fold gives +0.0;
+    It takes the samples as one (n, *input_shape) stack and runs each
+    minibatch FORWARD_CHUNK samples at a time: forward through forward_batch's
+    layer steps in float64, backward through batched steps, all writing into
+    buffers allocated once per worker. Every per-item product keeps the
+    per-sample shapes: the conv weight gradient is a stacked cols^T @ dz, the
+    column gradient W2 @ dz^T, a dense input gradient W @ dz as
+    (K, N) @ (n, N, 1), one gemv per item. Pool backward is one scatter and
+    col2im one bincount, with each item's indices offset past the earlier
+    items. A conv bias gradient is dz.sum(axis=1), which sums each item as the
+    per-sample dz2.sum(axis=0) does: row by row, or pairwise when f = 1. The
+    minibatch gradient is the fold acc = g[0]; acc = acc + g[k] in sample
+    order. An np.sum or np.add.reduce over the item axis is not: it starts
+    from +0.0, so a column that is -0.0 for every item (a dead relu unit's
+    bias) comes out +0.0, and a bias of -0.0 updated by it stays -0.0 where
+    the fold gives +0.0;
   - forward_batch and train_model spread their chunks over the CPUs the
     process may run on (os.sched_getaffinity, else os.cpu_count), one worker
     per CPU and at most one per chunk. forward_batch deals chunk k to worker
@@ -927,10 +928,11 @@ def _train_pass(spec: ModelSpec, params: dict, rows: int):
     return run
 
 
-def train_model(model: Model, images: list[Tensor], labels: list[int], *,
+def train_model(model: Model, images: np.ndarray, labels: list[int], *,
                 epochs: int, learning_rate: float, batch_size: int,
                 seed: int, clip_norm: float | None = None) -> tuple[Model, list[float]]:
-    """Minibatch SGD with cross-entropy loss.
+    """Minibatch SGD with cross-entropy loss on `images`, the samples as one
+    (n, *input_shape) float32 stack, and their n labels.
 
     The input model is untouched; a trained copy is returned together with
     the per-epoch mean training loss. The shuffle order comes from the given
@@ -941,32 +943,32 @@ def train_model(model: Model, images: list[Tensor], labels: list[int], *,
     the learning rates needed to escape that plateau overshoot once the
     signal grows; clipping keeps those rates stable.
     """
-    if not images:
+    xs = np.ascontiguousarray(images, dtype=np.float32)
+    if len(xs) == 0:
         raise EmptyCorpus("no training samples")
-    if len(images) != len(labels):
+    if len(xs) != len(labels):
         raise EmptyCorpus("images and labels differ in length")
     classes = model.spec.layers[-1].units
     for lab in labels:
         if not 0 <= lab < classes:
             raise LabelOutOfRange(f"label {lab} outside [0, {classes})")
-    xs = np.empty((len(images), *model.spec.input_shape), dtype=np.float32)
-    for row, img in zip(xs, images):
-        if img.shape != row.shape:
-            raise ShapeMismatch(f"sample shape {img.shape} != {model.spec.input_shape}")
-        row[...] = img.array
+    if xs.shape[1:] != model.spec.input_shape:
+        raise ShapeMismatch(f"sample shape {xs.shape[1:]} != {model.spec.input_shape}")
+    if not np.isfinite(xs).all():
+        raise ShapeMismatch("tensor elements must be finite")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
 
     trained = model.copy()
     params = _collect_params(trained)
-    rows = min(len(images), batch_size, FORWARD_CHUNK)
-    workers = min(_cpu_count(), -(-min(len(images), batch_size) // FORWARD_CHUNK))
+    rows = min(len(xs), batch_size, FORWARD_CHUNK)
+    workers = min(_cpu_count(), -(-min(len(xs), batch_size) // FORWARD_CHUNK))
     runners = [_train_pass(trained.spec, params, rows) for _ in range(workers)]
     rng = SplitMix64(seed)
     lr = np.float32(learning_rate)
     history: list[float] = []
     for _ in range(epochs):
-        order = list(range(len(images)))
+        order = list(range(len(xs)))
         rng.shuffle(order)
         batch_losses: list[float] = []
         for start in range(0, len(order), batch_size):

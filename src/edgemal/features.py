@@ -10,6 +10,10 @@ to 0..255 with rounding half away from zero; a constant trace maps to 0; the
 pixel stream is trace values followed by binary bytes, truncated or
 zero-padded to 256*256; downsampling averages 8x8 blocks with the same
 rounding rule.
+
+The synthetic corpus is one (samples, events) float64 trace matrix and one
+(samples, 32, 32) uint8 array of blob block values; `sample_image` builds a
+sample's 256x256 image, its blob being its blocks repeated 8x8, on demand.
 """
 
 from __future__ import annotations
@@ -100,23 +104,20 @@ def rank_events(traces: TraceSet) -> list[EventRank]:
         raise EmptyTraceSet(f"need >= 2 samples and >= 1 event, got {n}x{e}")
 
     class_count = len(traces.class_names)
-    counts = np.zeros(class_count, dtype=np.float64)
-    for lab in traces.labels:
-        counts[lab] += 1.0
+    counts = np.bincount(traces.labels, minlength=class_count).astype(np.float64)
+    # Folds in row order, as a scalar loop adds: cumsum is sequential where
+    # np.sum is pairwise. Like Python floats, the sums and squares may
+    # overflow silently; the per-class sums warn as numpy scalars do.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.cumsum(traces.rows, axis=0)[-1].tolist()
+        squares = np.cumsum(traces.rows * traces.rows, axis=0)[-1].tolist()
+    sxy = np.zeros((class_count, e), dtype=np.float64)
+    np.add.at(sxy, traces.labels, traces.rows)
 
     rhos: list[float] = []
     for i in range(e):
-        x = traces.rows[:, i]
-        sx = 0.0
-        sxx = 0.0
-        sxy = np.zeros(class_count, dtype=np.float64)
-        for s in range(n):
-            v = float(x[s])
-            sx += v
-            sxx += v * v
-            sxy[traces.labels[s]] += v
-        mean_x = sx / n
-        var_x = sxx / n - mean_x * mean_x
+        mean_x = sums[i] / n
+        var_x = squares[i] / n - mean_x * mean_x
         best = 0.0
         best_abs = 0.0
         for k in range(class_count):
@@ -124,7 +125,7 @@ def rank_events(traces: TraceSet) -> list[EventRank]:
             var_y = p * (1.0 - p)
             if var_x <= 0.0 or var_y <= 0.0:
                 continue
-            cov = sxy[k] / n - mean_x * p
+            cov = sxy[k, i] / n - mean_x * p
             r = cov / math.sqrt(var_x * var_y)
             r = max(-1.0, min(1.0, r))
             if abs(r) > best_abs:
@@ -203,11 +204,12 @@ def image_to_tensor(img: GrayImage) -> Tensor:
 
 @dataclass
 class CorpusBundle:
-    """Generator output: traces, per-sample binary blobs, and the planted
-    ground truth (class id -> shifted event columns) used by the tests."""
+    """Generator output: traces, each sample's binary blob as its 32x32 block
+    values (see `sample_image`), and the planted ground truth (class id ->
+    shifted event columns) used by the tests."""
 
     traces: TraceSet
-    blobs: list[bytes]
+    blocks: np.ndarray        # (samples, 32, 32) uint8
     planted: dict[int, list[int]]
 
 
@@ -215,7 +217,7 @@ def gen_synthetic_corpus(*, samples_per_class: int, events: int = 16,
                          noise: float = 4.0, classes: int = 6,
                          seed: int = 42) -> CorpusBundle:
     """Seeded stand-in corpus: traces with per-class mean shifts and binary
-    blobs with a per-class block texture.
+    blobs with a per-class block texture plus per-block jitter.
 
     Class 0 is the benign baseline; each malware class k >= 1 shifts event
     column k-1. Every class draws from its own seed substream, so per-class
@@ -238,10 +240,10 @@ def gen_synthetic_corpus(*, samples_per_class: int, events: int = 16,
     root = SplitMix64(seed)
     rows = np.zeros((classes * samples_per_class, events), dtype=np.float64)
     labels = np.zeros(classes * samples_per_class, dtype=np.int64)
-    blobs: list[bytes] = []
-    # One block of normals per sample, in the scalar draw order: the trace
-    # values, then (only when noise > 0) the blob jitter.
-    block = events + (SMALL_SIDE * SMALL_SIDE if noise > 0.0 else 0)
+    blocks = np.zeros((classes * samples_per_class, SMALL_SIDE, SMALL_SIDE), dtype=np.uint8)
+    # One draw of normals per sample, in the scalar draw order: the trace
+    # values, then (only when noise > 0) the jitter of the 32x32 blocks.
+    draw = events + (SMALL_SIDE * SMALL_SIDE if noise > 0.0 else 0)
     row = 0
     for k in range(classes):
         stream = root.substream(k)
@@ -249,14 +251,17 @@ def gen_synthetic_corpus(*, samples_per_class: int, events: int = 16,
         means[planted.get(k, [])] += shift
         texture = _class_texture(k)
         for _ in range(samples_per_class):
-            z = stream.normals(block)
+            z = stream.normals(draw)
             rows[row] = means + noise * z[:events]
-            blobs.append(_class_blob(texture, noise * z[events:]))
+            base = texture
+            if noise > 0.0:
+                base = texture + noise * z[events:].reshape(SMALL_SIDE, SMALL_SIDE)
+            blocks[row] = np.clip(_round_half_away(np.maximum(base, 0.0)), 0, 255)
             labels[row] = k
             row += 1
 
     traces = TraceSet([f"event_{j}" for j in range(events)], rows, labels, names)
-    return CorpusBundle(traces, blobs, planted)
+    return CorpusBundle(traces, blocks, planted)
 
 
 def _class_texture(k: int) -> np.ndarray:
@@ -268,22 +273,12 @@ def _class_texture(k: int) -> np.ndarray:
     return base.astype(np.float64)
 
 
-def _class_blob(texture: np.ndarray, jitter: np.ndarray) -> bytes:
-    """Binary blob with the 8x8-block class texture plus per-block jitter
-    (row-major over the 32x32 blocks; empty when the corpus has no noise).
-
-    Block values survive downsampling exactly (every 8x8 block is constant),
-    so the 32x32 image keeps the class texture.
-    """
-    base = texture + jitter.reshape(SMALL_SIDE, SMALL_SIDE) if jitter.size else texture
-    blocks = np.clip(_round_half_away(np.maximum(base, 0.0)), 0, 255).astype(np.uint8)
-    return blocks.repeat(8, axis=0).repeat(8, axis=1).tobytes()
-
-
 def sample_image(bundle: CorpusBundle, i: int, selected_events: list[int]) -> GrayImage:
     """256x256 labeled image of corpus sample i, using the given event column
-    order for the trace pixels."""
-    return to_grayscale(bundle.traces.rows[i, selected_events], bundle.blobs[i],
+    order for the trace pixels. Its blob repeats each of the sample's blocks
+    8x8, so downsampling gives back the blocks and the class texture."""
+    blob = bundle.blocks[i].repeat(8, axis=0).repeat(8, axis=1).tobytes()
+    return to_grayscale(bundle.traces.rows[i, selected_events], blob,
                         int(bundle.traces.labels[i]))
 
 

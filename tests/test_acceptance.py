@@ -228,7 +228,7 @@ def test_criterion_6_detection_accuracy(default_spec):
 
     model = cnn.build_model(default_spec, 42)
     trained, _ = cnn.train_model(
-        model, [tensors[i] for i in train_idx], [labels[i] for i in train_idx],
+        model, np.stack([tensors[i].array for i in train_idx]), [labels[i] for i in train_idx],
         epochs=60, learning_rate=0.1, batch_size=32, seed=42, clip_norm=0.5)
     hits = sum(int(np.argmax(cnn.forward(trained, tensors[i]).array)) == labels[i]
                for i in test_idx)

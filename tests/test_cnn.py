@@ -501,7 +501,7 @@ def test_forward_bits_pinned(default_spec, pin_corpus):
 def test_training_bits_pinned(default_spec, pin_corpus):
     tensors, labels = pin_corpus
     trained, history = cnn.train_model(
-        cnn.build_model(default_spec, 42), tensors, labels, epochs=2,
+        cnn.build_model(default_spec, 42), _stack(tensors), labels, epochs=2,
         learning_rate=0.1, batch_size=8, seed=42, clip_norm=0.5)
     digest = hashlib.sha256()
     for i in sorted(trained.weights):
@@ -712,14 +712,14 @@ def test_more_workers_than_cores_under_fast_thread_switches(tiny_spec, monkeypat
     kwargs = dict(epochs=2, learning_rate=0.1, batch_size=len(images), seed=3)
     _force_workers(monkeypatch, 1)
     want = cnn.forward_batch(model, xs)
-    want_model, want_history = cnn.train_model(model, images, labels, **kwargs)
+    want_model, want_history = cnn.train_model(model, xs, labels, **kwargs)
     _force_workers(monkeypatch, 7)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             _assert_same_bits(cnn.forward_batch(model, xs), want)
-        trained, history = cnn.train_model(model, images, labels, **kwargs)
+        trained, history = cnn.train_model(model, xs, labels, **kwargs)
     finally:
         sys.setswitchinterval(interval)
     assert history == want_history
@@ -746,10 +746,11 @@ def test_one_worker_or_one_chunk_starts_no_thread(tiny_spec, monkeypatch):
     started = _count_threads(monkeypatch)
     _force_workers(monkeypatch, 1)
     cnn.forward_batch(model, _stack(images))
-    cnn.train_model(model, images, labels, epochs=1, learning_rate=0.1, batch_size=40, seed=1)
+    cnn.train_model(model, _stack(images), labels, epochs=1, learning_rate=0.1, batch_size=40,
+                    seed=1)
     _force_workers(monkeypatch, 4)
     cnn.forward_batch(model, _stack(images[:cnn.FORWARD_CHUNK]))
-    cnn.train_model(model, images, labels, epochs=1, learning_rate=0.1,
+    cnn.train_model(model, _stack(images), labels, epochs=1, learning_rate=0.1,
                     batch_size=cnn.FORWARD_CHUNK, seed=1)
     assert not started
     cnn.forward_batch(model, _stack(images))
@@ -766,7 +767,7 @@ def test_no_thread_outlives_a_call(tiny_spec, monkeypatch):
     started = _count_threads(monkeypatch)
     before = threading.active_count()
     cnn.forward_batch(model, xs)
-    cnn.train_model(model, images, labels, epochs=1, learning_rate=0.1, batch_size=48, seed=1)
+    cnn.train_model(model, xs, labels, epochs=1, learning_rate=0.1, batch_size=48, seed=1)
     assert threading.active_count() == before
     assert len(started) == 2 + 2
 
@@ -790,8 +791,8 @@ def test_no_thread_outlives_a_call(tiny_spec, monkeypatch):
 
     monkeypatch.setattr(cnn, "_train_pass", second_runner_fails)
     with pytest.raises(RuntimeError, match="worker pass failed"):
-        cnn.train_model(model, images, labels, epochs=1, learning_rate=0.1, batch_size=48,
-                        seed=1)
+        cnn.train_model(model, _stack(images), labels, epochs=1, learning_rate=0.1,
+                        batch_size=48, seed=1)
     assert len(runners) == 3
     assert threading.active_count() == before
 
@@ -835,7 +836,7 @@ def _separable_set(n, seed):
 def test_train_separable_two_class():
     spec, images, labels = _separable_set(200, 1)
     model = cnn.build_model(spec, 1)
-    trained, history = cnn.train_model(model, images, labels, epochs=10,
+    trained, history = cnn.train_model(model, _stack(images), labels, epochs=10,
                                        learning_rate=0.05, batch_size=16, seed=1)
     assert len(history) == 10
     hits = sum(int(np.argmax(cnn.forward(trained, x).array)) == lab
@@ -847,7 +848,7 @@ def test_train_zero_learning_rate_keeps_weights(tiny_spec):
     model = cnn.build_model(tiny_spec, 2)
     images = [rand_tensor((6, 6, 1), i) for i in range(8)]
     labels = [i % 3 for i in range(8)]
-    trained, history = cnn.train_model(model, images, labels, epochs=3,
+    trained, history = cnn.train_model(model, _stack(images), labels, epochs=3,
                                        learning_rate=0.0, batch_size=4, seed=2)
     for i in model.weights:
         assert np.array_equal(trained.weights[i].weight.array,
@@ -858,7 +859,7 @@ def test_train_zero_learning_rate_keeps_weights(tiny_spec):
 
 def test_train_zero_epochs_is_identity(tiny_spec):
     model = cnn.build_model(tiny_spec, 2)
-    trained, history = cnn.train_model(model, [rand_tensor((6, 6, 1), 0)], [0],
+    trained, history = cnn.train_model(model, _stack([rand_tensor((6, 6, 1), 0)]), [0],
                                        epochs=0, learning_rate=0.1,
                                        batch_size=1, seed=0)
     assert history == []
@@ -869,30 +870,33 @@ def test_train_zero_epochs_is_identity(tiny_spec):
 
 def test_train_errors(tiny_spec):
     model = cnn.build_model(tiny_spec, 2)
+    one = _stack([rand_tensor((6, 6, 1), 0)])
+    kwargs = dict(epochs=1, learning_rate=0.1, batch_size=1, seed=0)
     with pytest.raises(EmptyCorpus):
-        cnn.train_model(model, [], [], epochs=1, learning_rate=0.1,
-                        batch_size=1, seed=0)
+        cnn.train_model(model, np.empty((0, 6, 6, 1), dtype=np.float32), [], **kwargs)
     with pytest.raises(LabelOutOfRange):
-        cnn.train_model(model, [rand_tensor((6, 6, 1), 0)], [3], epochs=1,
-                        learning_rate=0.1, batch_size=1, seed=0)
+        cnn.train_model(model, one, [3], **kwargs)
     with pytest.raises(EmptyCorpus, match="differ in length"):
-        cnn.train_model(model, [rand_tensor((6, 6, 1), 0)], [0, 1], epochs=1,
-                        learning_rate=0.1, batch_size=1, seed=0)
+        cnn.train_model(model, one, [0, 1], **kwargs)
     with pytest.raises(ShapeMismatch, match="sample shape"):
-        cnn.train_model(model, [rand_tensor((6, 6, 1), 0), rand_tensor((6, 5, 1), 1)],
-                        [0, 1], epochs=1, learning_rate=0.1, batch_size=1, seed=0)
+        cnn.train_model(model, _stack([rand_tensor((6, 5, 1), i) for i in range(2)]), [0, 1],
+                        **kwargs)
+    for value in (np.nan, np.inf, -np.inf):
+        xs = _stack([rand_tensor((6, 6, 1), i) for i in range(3)])
+        xs[1, 2, 3, 0] = value
+        with pytest.raises(ShapeMismatch, match="finite"):
+            cnn.train_model(model, xs, [0, 1, 2], **kwargs)
     with pytest.raises(ValueError, match="batch_size must be >= 1"):
-        cnn.train_model(model, [rand_tensor((6, 6, 1), 0)], [0], epochs=1,
-                        learning_rate=0.1, batch_size=0, seed=0)
+        cnn.train_model(model, one, [0], **{**kwargs, "batch_size": 0})
 
 
 def test_train_is_deterministic(tiny_spec):
     model = cnn.build_model(tiny_spec, 5)
     images = [rand_tensor((6, 6, 1), i, -80.0, 80.0) for i in range(12)]
     labels = [i % 3 for i in range(12)]
-    t1, h1 = cnn.train_model(model, images, labels, epochs=4,
+    t1, h1 = cnn.train_model(model, _stack(images), labels, epochs=4,
                              learning_rate=0.05, batch_size=4, seed=9)
-    t2, h2 = cnn.train_model(model, images, labels, epochs=4,
+    t2, h2 = cnn.train_model(model, _stack(images), labels, epochs=4,
                              learning_rate=0.05, batch_size=4, seed=9)
     assert h1 == h2
     for i in t1.weights:
@@ -1045,7 +1049,7 @@ def test_train_matches_per_sample_reference(default_spec, tiny_spec, name, batch
     images, labels = draw(count)
     kwargs = dict(epochs=2, learning_rate=0.1, batch_size=batch_size, seed=11,
                   clip_norm=0.5 if name == "default" else None)
-    trained, history = cnn.train_model(model, images, labels, **kwargs)
+    trained, history = cnn.train_model(model, _stack(images), labels, **kwargs)
     want, want_history = _reference_train(model, images, labels, **kwargs)
     assert history == want_history
     for i, lw in want.weights.items():
@@ -1068,7 +1072,7 @@ def test_train_workers_match_per_sample_reference(default_spec, tiny_spec, monke
     want, want_history = _reference_train(model, images, labels, **kwargs)
     for workers in (1, 2):
         _force_workers(monkeypatch, workers)
-        trained, history = cnn.train_model(model, images, labels, **kwargs)
+        trained, history = cnn.train_model(model, _stack(images), labels, **kwargs)
         assert history == want_history
         for i, lw in want.weights.items():
             _assert_same_bits(trained.weights[i].weight.array, lw.weight.array)
@@ -1192,9 +1196,10 @@ def test_training_pass_writes_no_input(default_spec, tiny_spec, monkeypatch):
 
         monkeypatch.setattr(cnn, "_train_pass", recording)
         buffers.clear()
-        trained, _ = cnn.train_model(model, images, labels, epochs=2, learning_rate=0.1,
+        trained, _ = cnn.train_model(model, stacked, labels, epochs=2, learning_rate=0.1,
                                      batch_size=len(images), seed=seed)
         monkeypatch.undo()
+        _assert_same_bits(stacked, saved_images)
         assert buffers
         roots = [b if b.base is None else b.base for b in buffers]
         for lw in trained.weights.values():

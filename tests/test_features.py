@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,75 @@ def test_streaming_matches_two_pass_oracle():
         for col, name in enumerate(bundle.traces.event_names):
             assert by_name[name] == pytest.approx(
                 two_pass_rho(bundle.traces, col), abs=1e-9)
+
+
+def loop_ranking(traces: features.TraceSet) -> list[tuple[str, str, int]]:
+    """Reference: the per-element scalar accumulation, one Python float at a
+    time in row order, as (name, rho.hex(), rank) triples."""
+    n, e = traces.rows.shape
+    class_count = len(traces.class_names)
+    counts = np.zeros(class_count, dtype=np.float64)
+    for lab in traces.labels:
+        counts[lab] += 1.0
+    rhos = []
+    for i in range(e):
+        sx = 0.0
+        sxx = 0.0
+        sxy = np.zeros(class_count, dtype=np.float64)
+        for s in range(n):
+            v = float(traces.rows[s, i])
+            sx += v
+            sxx += v * v
+            sxy[traces.labels[s]] += v
+        mean_x = sx / n
+        var_x = sxx / n - mean_x * mean_x
+        best = 0.0
+        best_abs = 0.0
+        for k in range(class_count):
+            p = counts[k] / n
+            var_y = p * (1.0 - p)
+            if var_x <= 0.0 or var_y <= 0.0:
+                continue
+            r = (sxy[k] / n - mean_x * p) / math.sqrt(var_x * var_y)
+            r = max(-1.0, min(1.0, r))
+            if abs(r) > best_abs:
+                best_abs = abs(r)
+                best = r
+        rhos.append(best)
+    names = traces.event_names
+    order = sorted(range(e), key=lambda i: (-abs(rhos[i]), names[i]))
+    return [(names[i], float(rhos[i]).hex(), pos + 1) for pos, i in enumerate(order)]
+
+
+def _edge_column(rng: SplitMix64, kind: int, n: int) -> np.ndarray:
+    """One trace column of a kind the row-order sums must get bit for bit."""
+    if kind == 0:  # signed zeros
+        return np.array([(-0.0, 0.0)[rng.randint(2)] for _ in range(n)])
+    if kind == 1:
+        return np.zeros(n)
+    if kind == 2:
+        return np.full(n, rng.uniform(-50.0, 50.0))
+    if kind == 3:  # squares overflow to inf, as Python floats do silently
+        return rng.uniforms(n, 1e155, 1e157)
+    if kind == 4:  # few distinct values: ties on |rho| and exact cancellation
+        return np.array([float(rng.randint(3) - 1) for _ in range(n)])
+    return rng.uniforms(n, -1e3, 1e3) * 10.0 ** rng.randint(6)
+
+
+def test_rank_events_matches_per_element_loop():
+    """Row-order folds give the scalar loop's rho bits, names and ranks."""
+    rng = SplitMix64(23)
+    for _ in range(300):
+        n, e = 2 + rng.randint(30), 1 + rng.randint(6)
+        classes = 2 + rng.randint(4)
+        # a random subset of the classes has rows; the others stay empty
+        present = [k for k in range(classes) if rng.randint(3)] or [0]
+        labels = np.array([present[rng.randint(len(present))] for _ in range(n)])
+        rows = np.stack([_edge_column(rng, rng.randint(6), n) for _ in range(e)], axis=1)
+        traces = features.TraceSet([f"e{j}" for j in range(e)], rows, labels,
+                                   [f"c{k}" for k in range(classes)])
+        got = [(r.name, float(r.rho).hex(), r.rank) for r in features.rank_events(traces)]
+        assert got == loop_ranking(traces)
 
 
 def test_rank_order_invariant_under_positive_affine_map():
@@ -213,7 +283,7 @@ def test_corpus_deterministic():
     b = features.gen_synthetic_corpus(samples_per_class=5, seed=1)
     assert np.array_equal(a.traces.rows, b.traces.rows)
     assert np.array_equal(a.traces.labels, b.traces.labels)
-    assert a.blobs == b.blobs
+    assert np.array_equal(a.blocks, b.blocks)
     c = features.gen_synthetic_corpus(samples_per_class=5, seed=2)
     assert not np.array_equal(a.traces.rows, c.traces.rows)
 
@@ -226,10 +296,11 @@ def test_corpus_deterministic():
 ])
 def test_corpus_bytes_pinned(kwargs, digest):
     """Digests of the element-by-element scalar generator: any change to the
-    draw order or the float arithmetic changes every seeded artifact."""
+    draw order or the float arithmetic changes every seeded artifact. The
+    blocks repeated 8x8 are the bytes of every sample's blob, in order."""
     bundle = features.gen_synthetic_corpus(**kwargs)
     data = (bundle.traces.rows.tobytes() + bundle.traces.labels.tobytes()
-            + b"".join(bundle.blobs))
+            + bundle.blocks.repeat(8, axis=1).repeat(8, axis=2).tobytes())
     assert hashlib.sha256(data).hexdigest() == digest
 
 
@@ -238,8 +309,21 @@ def test_corpus_zero_noise_rows_identical_within_class():
     for k in range(6):
         rows = bundle.traces.rows[bundle.traces.labels == k]
         assert np.all(rows == rows[0])
-        blobs = [b for b, lab in zip(bundle.blobs, bundle.traces.labels) if lab == k]
-        assert all(b == blobs[0] for b in blobs)
+        blocks = bundle.blocks[bundle.traces.labels == k]
+        assert np.all(blocks == blocks[0])
+
+
+def test_corpus_holds_block_values_not_blobs():
+    """60 samples' 256x256 blobs alone would take 60 * 64 KiB = 3.9 MB; their
+    32x32 block values take 60 KiB, and each sample's float temporaries a few
+    KiB more."""
+    tracemalloc.start()
+    try:
+        features.gen_synthetic_corpus(samples_per_class=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_corpus_shape_and_classes():
@@ -248,7 +332,8 @@ def test_corpus_shape_and_classes():
     assert bundle.traces.class_names == [
         "benign", "backdoor", "rootkit", "trojan", "virus", "worm"]
     assert bundle.planted == {1: [0], 2: [1], 3: [2], 4: [3], 5: [4]}
-    assert all(len(blob) == features.PIXELS for blob in bundle.blobs)
+    assert bundle.blocks.shape == (18, features.SMALL_SIDE, features.SMALL_SIDE)
+    assert bundle.blocks.dtype == np.uint8
 
 
 def test_split_corpus_stratified_and_deterministic():
