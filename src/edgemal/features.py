@@ -277,7 +277,8 @@ def sample_image(bundle: CorpusBundle, i: int, selected_events: list[int]) -> Gr
     """256x256 labeled image of corpus sample i, using the given event column
     order for the trace pixels. Its blob repeats each of the sample's blocks
     8x8, so downsampling gives back the blocks and the class texture."""
-    blob = bundle.blocks[i].repeat(8, axis=0).repeat(8, axis=1).tobytes()
+    # columns first, so that the row repeat copies whole 256-byte rows
+    blob = bundle.blocks[i].repeat(8, axis=1).repeat(8, axis=0).tobytes()
     return to_grayscale(bundle.traces.rows[i, selected_events], blob,
                         int(bundle.traces.labels[i]))
 
