@@ -39,21 +39,20 @@ Conventions fixed for reproducibility:
     routes the gradient;
   - train_model gives the bits of per-sample backpropagation (_forward_acts
     and _backward, which stay as the oracle of backward_check and the tests).
-    It takes the samples as one (n, *input_shape) stack and runs each
-    minibatch FORWARD_CHUNK samples at a time: forward through forward_batch's
-    layer steps in float64, backward through batched steps, all writing into
-    buffers allocated once per worker. Every per-item product keeps the
-    per-sample shapes: the conv weight gradient is a stacked cols^T @ dz, the
-    column gradient W2 @ dz^T, a dense input gradient W @ dz as
-    (K, N) @ (n, N, 1), one gemv per item. Pool backward is one scatter and
-    col2im one bincount, with each item's indices offset past the earlier
-    items. A conv bias gradient is dz.sum(axis=1), which sums each item as the
-    per-sample dz2.sum(axis=0) does: row by row, or pairwise when f = 1. The
-    minibatch gradient is the fold acc = g[0]; acc = acc + g[k] in sample
-    order. An np.sum or np.add.reduce over the item axis is not: it starts
-    from +0.0, so a column that is -0.0 for every item (a dead relu unit's
-    bias) comes out +0.0, and a bias of -0.0 updated by it stays -0.0 where
-    the fold gives +0.0;
+    It takes one (n, *input_shape) stack and runs each minibatch FORWARD_CHUNK
+    samples at a time: forward through forward_batch's layer steps in float64,
+    backward through batched steps, all writing into buffers allocated once
+    per worker. Every per-item product keeps the per-sample shapes: the conv
+    weight gradient is a stacked cols^T @ dz, the column gradient
+    W2 @ dz^T, a dense input gradient W @ dz as (K, N) @ (n, N, 1), one
+    gemv per item. Pool backward is one scatter and col2im one bincount,
+    with each item's indices offset past the earlier items. A conv bias gradient is dz.sum(axis=1), which
+    sums each item as the per-sample dz2.sum(axis=0) does: row by row, or
+    pairwise when f = 1. The minibatch gradient is the fold acc = g[0];
+    acc = acc + g[k] in sample order. An np.sum or np.add.reduce over the
+    item axis is not: it starts from +0.0, so a column that is -0.0 for
+    every item (a dead relu unit's bias) comes out +0.0, and a bias of -0.0
+    updated by it stays -0.0 where the fold gives +0.0;
   - forward_batch and train_model spread their chunks over the CPUs the
     process may run on (os.sched_getaffinity, else os.cpu_count), one worker
     per CPU and at most one per chunk. forward_batch deals chunk k to worker
