@@ -100,6 +100,17 @@ def test_gen_corpus_full_res_matches_library(tmp_path):
         assert (out / f"images/img_{i:06d}.pgm").read_bytes() == _pgm_bytes(img, tmp_path)
 
 
+def test_gen_corpus_bytes_pinned(tmp_path):
+    """sha256 of the listing of every file `gen-corpus` writes at a noise so
+    large that block values land within float error of a rounding boundary
+    (a half-integer) far more often than at the default noise."""
+    assert run("--quiet", "gen-corpus", "--out", tmp_path, "--per-class", 5,
+               "--noise", "1e6") == 0
+    listing = json.dumps(tree_digest(tmp_path), sort_keys=True).encode()
+    assert hashlib.sha256(listing).hexdigest() == (
+        "38bd849d104f924222c13de24c899b8c07330013fd4b0f11a12ebb0badc242a5")
+
+
 def test_gen_corpus_missing_out_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run("gen-corpus", "--per-class", 2)
