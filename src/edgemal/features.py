@@ -14,6 +14,12 @@ rounding rule.
 The synthetic corpus is one (samples, events) float64 trace matrix and one
 (samples, 32, 32) uint8 array of blob block values; `sample_image` builds a
 sample's 256x256 image, its blob being its blocks repeated 8x8, on demand.
+Its bits are those of one scalar `SplitMix64.normal()` call per value. The
+generator draws the uniform pairs of up to `_CORPUS_CHUNK` samples at once.
+Trace values keep every float bit, so their normals go through the exact
+`rng.box_muller`. Block values are only rounded to bytes, so their normals
+use np.log/np.cos, and the few elements close enough to a rounding boundary
+for the fast path's error to matter are redone exactly (`_jittered`).
 """
 
 from __future__ import annotations
@@ -26,11 +32,13 @@ import numpy as np
 
 from .cnn import Tensor
 from .errors import EmptyInput, EmptyTraceSet, KOutOfRange, ShapeMismatch, WrongSide
-from .rng import SplitMix64
+from .rng import SplitMix64, box_muller
 
 FULL_SIDE = 256
 SMALL_SIDE = 32
 PIXELS = FULL_SIDE * FULL_SIDE
+# samples whose normals gen_synthetic_corpus draws at once
+_CORPUS_CHUNK = 8
 
 CLASS_NAMES = ("benign", "backdoor", "rootkit", "trojan", "virus", "worm")
 
@@ -97,7 +105,8 @@ def rank_events(traces: TraceSet) -> list[EventRank]:
 
     For each event the score is the correlation of largest magnitude over all
     classes, sign preserved. Accumulation is single-pass (sums of x, x^2 and
-    per-class sums); zero-variance columns or indicators contribute 0.
+    per-class sums). A column whose variance is zero or not finite (its
+    squares overflow), or an indicator with zero variance, contributes 0.
     """
     n, e = traces.rows.shape
     if n < 2 or e < 1:
@@ -123,7 +132,7 @@ def rank_events(traces: TraceSet) -> list[EventRank]:
         for k in range(class_count):
             p = counts[k] / n
             var_y = p * (1.0 - p)
-            if var_x <= 0.0 or var_y <= 0.0:
+            if not 0.0 < var_x < math.inf or var_y <= 0.0:
                 continue
             cov = sxy[k, i] / n - mean_x * p
             r = cov / math.sqrt(var_x * var_y)
@@ -176,10 +185,12 @@ def downsample(img: GrayImage) -> GrayImage:
     """Reduce 256x256 to 32x32 by averaging 8x8 blocks; label is kept."""
     if img.side != FULL_SIDE:
         raise WrongSide(f"expected side {FULL_SIDE}, got {img.side}")
-    # Exact integer block sums (at most 64 * 255 = 16320): 8 rows first, then
-    # 8 columns. Dividing by 64 is exact, so this equals the float64 mean.
+    # Exact integer block sums (at most 64 * 255 = 16320): 8 rows in uint16
+    # first, then 8 columns as a float64 product with ones, exact in any
+    # summation order below 2**53. Dividing by 64 is exact, so this equals
+    # the float64 mean.
     rows = img.pixels.reshape(SMALL_SIDE, 8, FULL_SIDE).sum(axis=1, dtype=np.uint16)
-    sums = rows.reshape(SMALL_SIDE, SMALL_SIDE, 8).sum(axis=2)
+    sums = rows.reshape(SMALL_SIDE, SMALL_SIDE, 8) @ np.ones(8)
     return GrayImage(SMALL_SIDE, _round_half_away(sums / 64.0).astype(np.uint8).ravel(),
                      img.label)
 
@@ -239,29 +250,58 @@ def gen_synthetic_corpus(*, samples_per_class: int, events: int = 16,
 
     root = SplitMix64(seed)
     rows = np.zeros((classes * samples_per_class, events), dtype=np.float64)
-    labels = np.zeros(classes * samples_per_class, dtype=np.int64)
+    labels = np.repeat(np.arange(classes, dtype=np.int64), samples_per_class)
     blocks = np.zeros((classes * samples_per_class, SMALL_SIDE, SMALL_SIDE), dtype=np.uint8)
-    # One draw of normals per sample, in the scalar draw order: the trace
-    # values, then (only when noise > 0) the jitter of the 32x32 blocks.
+    # Each sample draws its normals in the scalar draw order: the trace
+    # values, then (only when noise > 0) the jitter of the 32x32 blocks. The
+    # stream is sequential, so drawing the pairs of up to _CORPUS_CHUNK
+    # samples at once keeps that order.
     draw = events + (SMALL_SIDE * SMALL_SIDE if noise > 0.0 else 0)
-    row = 0
     for k in range(classes):
         stream = root.substream(k)
         means = np.full(events, base_mean)
         means[planted.get(k, [])] += shift
         texture = _class_texture(k)
-        for _ in range(samples_per_class):
-            z = stream.normals(draw)
-            rows[row] = means + noise * z[:events]
-            base = texture
+        for first in range(k * samples_per_class, (k + 1) * samples_per_class,
+                           _CORPUS_CHUNK):
+            m = min(_CORPUS_CHUNK, (k + 1) * samples_per_class - first)
+            u = stream.normal_uniforms(m * draw).reshape(m, draw, 2)
+            rows[first:first + m] = means + noise * box_muller(u[:, :events, 0],
+                                                                u[:, :events, 1])
+            values = texture  # non-negative, like the jittered values
             if noise > 0.0:
-                base = texture + noise * z[events:].reshape(SMALL_SIDE, SMALL_SIDE)
-            blocks[row] = np.clip(_round_half_away(np.maximum(base, 0.0)), 0, 255)
-            labels[row] = k
-            row += 1
+                values = _jittered(texture, noise, u[:, events:, 0], u[:, events:, 1])
+            blocks[first:first + m] = np.clip(_round_half_away(values), 0, 255)
 
     traces = TraceSet([f"event_{j}" for j in range(events)], rows, labels, names)
     return CorpusBundle(traces, blocks, planted)
+
+
+def _jittered(texture: np.ndarray, noise: float, u1: np.ndarray,
+              u2: np.ndarray) -> np.ndarray:
+    """max(texture + noise * z, 0) for the Box-Muller normals z of the (m, 1024)
+    uniform pairs u1, u2, shaped (m, 32, 32). The caller only rounds these
+    values half away from zero, and they round to the bytes exact normals give.
+
+    z comes from np.log/np.cos, which differ from `box_muller` by a few ulps
+    (at most 1.6 ulps of z on the default corpus). Rounding, floor(fl(x +
+    0.5)), is monotone in x and changes value only where x crosses a
+    half-integer. So an element whose fast x lies farther than
+    tol = 2**-30 * (noise * |z| + x + 1) from its nearest half-integer,
+    floor(x) + 0.5, rounds to the same byte as the exact x: tol is about
+    2**22 ulps of the sum's largest term, more than a fast-path error of
+    about 2**20 ulps plus the half ulp by which fl(x + 0.5) may round. Every
+    other element, NaN and inf included, is redone with `box_muller`.
+    """
+    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    x = np.maximum(texture.ravel() + noise * z, 0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN distance, redone
+        redo = ~(np.abs(x - (np.floor(x) + 0.5)) > 2.0 ** -30 * (noise * np.abs(z) + x + 1.0))
+    if redo.any():
+        exact = box_muller(u1[redo], u2[redo])
+        x[redo] = np.maximum(np.broadcast_to(texture.ravel(), x.shape)[redo] + noise * exact,
+                             0.0)
+    return x.reshape(-1, SMALL_SIDE, SMALL_SIDE)
 
 
 def _class_texture(k: int) -> np.ndarray:

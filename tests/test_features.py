@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -79,7 +80,8 @@ def test_streaming_matches_two_pass_oracle():
 
 def loop_ranking(traces: features.TraceSet) -> list[tuple[str, str, int]]:
     """Reference: the per-element scalar accumulation, one Python float at a
-    time in row order, as (name, rho.hex(), rank) triples."""
+    time in row order, as (name, rho.hex(), rank) triples. A column whose
+    variance is zero, inf or NaN scores 0."""
     n, e = traces.rows.shape
     class_count = len(traces.class_names)
     counts = np.zeros(class_count, dtype=np.float64)
@@ -102,7 +104,7 @@ def loop_ranking(traces: features.TraceSet) -> list[tuple[str, str, int]]:
         for k in range(class_count):
             p = counts[k] / n
             var_y = p * (1.0 - p)
-            if var_x <= 0.0 or var_y <= 0.0:
+            if not 0.0 < var_x < math.inf or var_y <= 0.0:
                 continue
             r = (sxy[k] / n - mean_x * p) / math.sqrt(var_x * var_y)
             r = max(-1.0, min(1.0, r))
@@ -144,6 +146,19 @@ def test_rank_events_matches_per_element_loop():
                                    [f"c{k}" for k in range(classes)])
         got = [(r.name, float(r.rho).hex(), r.rank) for r in features.rank_events(traces)]
         assert got == loop_ranking(traces)
+
+
+def test_rank_events_overflowing_column_scores_zero():
+    """A constant 1e155 column's squares overflow: sxx / n - mean^2 is
+    inf - inf = NaN, which must not rank it above a perfect indicator."""
+    rows = np.array([[1e155, 1.0]] * 3 + [[1e155, 0.0]] * 3)
+    traces = features.TraceSet(["flat_huge", "perfect"], rows,
+                               np.array([0, 0, 0, 1, 1, 1]), ["benign", "backdoor"])
+    ranked = features.rank_events(traces)
+    assert [(r.name, r.rho, r.rank) for r in ranked] == [
+        ("perfect", ranked[0].rho, 1), ("flat_huge", 0.0, 2)]
+    assert abs(ranked[0].rho) == pytest.approx(1.0)
+    assert [(r.name, float(r.rho).hex(), r.rank) for r in ranked] == loop_ranking(traces)
 
 
 def test_rank_order_invariant_under_positive_affine_map():
@@ -302,6 +317,103 @@ def test_corpus_bytes_pinned(kwargs, digest):
     data = (bundle.traces.rows.tobytes() + bundle.traces.labels.tobytes()
             + bundle.blocks.repeat(8, axis=1).repeat(8, axis=2).tobytes())
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@functools.cache
+def scalar_corpus(*, samples_per_class: int, events: int = 16, noise: float = 4.0,
+                  classes: int = 6, seed: int = 42):
+    """Reference generator: one `SplitMix64.normal()` call per trace value and
+    per block, Python float arithmetic, as (rows, labels, blocks)."""
+    root = SplitMix64(seed)
+    rows, labels, blocks = [], [], []
+    for k in range(classes):
+        stream = root.substream(k)
+        means = [100.0 + (50.0 if j == k - 1 else 0.0) for j in range(events)]
+        step = 255 // (k + 1)
+        texture = [float((r + c * (k + 1)) % (k + 2) * step)
+                   for r in range(32) for c in range(32)]
+        for _ in range(samples_per_class):
+            rows.append([mean + noise * stream.normal() for mean in means])
+            labels.append(k)
+            values = texture
+            if noise > 0.0:
+                values = [t + noise * stream.normal() for t in texture]
+            blocks.append([min(math.floor(max(v, 0.0) + 0.5), 255) for v in values])
+    return (np.array(rows), np.array(labels, dtype=np.int64),
+            np.array(blocks, dtype=np.uint8).reshape(-1, 32, 32))
+
+
+GENERATOR_CASES = [
+    dict(samples_per_class=features._CORPUS_CHUNK + 3, seed=5),
+    dict(samples_per_class=3, noise=0.0, seed=6),
+    dict(samples_per_class=3, noise=0.5, seed=7),
+    dict(samples_per_class=3, noise=37.5, seed=8),
+    dict(samples_per_class=3, noise=1e6, seed=9),
+    dict(samples_per_class=2, noise=1e-300, seed=10),
+    dict(samples_per_class=2, classes=9, events=12, noise=0.5, seed=11),
+]
+
+
+def _assert_matches_scalar(bundle, kwargs):
+    rows, labels, blocks = scalar_corpus(**kwargs)
+    assert np.array_equal(bundle.traces.rows.view(np.uint64), rows.view(np.uint64))
+    assert np.array_equal(bundle.traces.labels, labels)
+    assert bundle.blocks.tobytes() == blocks.tobytes()
+
+
+@pytest.mark.parametrize("kwargs", GENERATOR_CASES,
+                         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_corpus_matches_scalar_generator(kwargs):
+    _assert_matches_scalar(features.gen_synthetic_corpus(**kwargs), kwargs)
+
+
+def _straddling_pairs(h: float, texture: float, noise: float, sign: int):
+    """1024 uniform pairs whose exact max(texture + noise * z, 0) lies within
+    a few hundred ulps of u1 either side of the half-integer h; u2 is 0 or
+    0.5, where np.cos and math.cos give exactly +1 or -1."""
+    z = (h - texture) / noise * sign
+    centre = math.exp(-z * z / 2.0)
+    u1 = centre + np.arange(-512, 512) * np.spacing(centre)
+    return u1, np.full(1024, 0.0 if sign > 0 else 0.5)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 2.0 ** -40, 1.0 - 2.0 ** -40, 1.0 + 2.0 ** -33],
+                         ids=["np.log", "1+2^-40", "1-2^-40", "1+2^-33"])
+def test_jitter_bytes_exact_at_half_integers(monkeypatch, scale):
+    """Block values right at rounding boundaries round as exact normals do,
+    even when the fast path's np.log is off by far more than its last bit."""
+    log = np.log
+    monkeypatch.setattr(np, "log", lambda x: log(x) * scale)
+    for h, texture, noise, sign in [(2.5, 0.0, 1.0, 1), (0.5, 0.0, 0.25, 1),
+                                    (100.5, 50.0, 20.0, 1), (170.5, 200.0, 10.0, -1)]:
+        u1, u2 = _straddling_pairs(h, texture, noise, sign)
+        values = features._jittered(np.full((32, 32), texture), noise, u1[None], u2[None])
+        expected = [min(math.floor(max(texture + noise * math.sqrt(-2.0 * math.log(a))
+                                       * math.cos(2.0 * math.pi * b), 0.0) + 0.5), 255)
+                    for a, b in zip(u1.tolist(), u2.tolist())]
+        assert set(expected) == {h - 0.5, h + 0.5}
+        assert np.clip(np.floor(values + 0.5), 0, 255).ravel().tolist() == expected
+
+
+def test_corpus_exact_fallback_runs(monkeypatch):
+    """At noise 1e6 some block values lie within the fast path's tolerance of
+    a half-integer and go through the exact `box_muller`; the trace values
+    always do, and nothing else does at the default noise."""
+    sizes = []
+    exact = features.box_muller
+
+    def counting(u1, u2):
+        sizes.append(u1.size)
+        return exact(u1, u2)
+
+    monkeypatch.setattr(features, "box_muller", counting)
+    traces = 6 * 5 * 16
+    features.gen_synthetic_corpus(samples_per_class=5, noise=1e6)
+    redone = sum(sizes) - traces
+    assert 0 < redone < 0.05 * 6 * 5 * 1024
+    sizes.clear()
+    features.gen_synthetic_corpus(samples_per_class=5)
+    assert sum(sizes) == traces
 
 
 def test_corpus_zero_noise_rows_identical_within_class():
