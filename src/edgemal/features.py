@@ -293,14 +293,13 @@ def _jittered(texture: np.ndarray, noise: float, u1: np.ndarray,
     about 2**20 ulps plus the half ulp by which fl(x + 0.5) may round. Every
     other element, NaN and inf included, is redone with `box_muller`.
     """
+    base = np.broadcast_to(texture.ravel(), u1.shape)
     z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-    x = np.maximum(texture.ravel() + noise * z, 0.0)
+    x = np.maximum(base + noise * z, 0.0)
     with np.errstate(invalid="ignore"):  # inf - inf: a NaN distance, redone
         redo = ~(np.abs(x - (np.floor(x) + 0.5)) > 2.0 ** -30 * (noise * np.abs(z) + x + 1.0))
     if redo.any():
-        exact = box_muller(u1[redo], u2[redo])
-        x[redo] = np.maximum(np.broadcast_to(texture.ravel(), x.shape)[redo] + noise * exact,
-                             0.0)
+        x[redo] = np.maximum(base[redo] + noise * box_muller(u1[redo], u2[redo]), 0.0)
     return x.reshape(-1, SMALL_SIDE, SMALL_SIDE)
 
 

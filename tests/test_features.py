@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import math
 import tracemalloc
@@ -319,7 +318,6 @@ def test_corpus_bytes_pinned(kwargs, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-@functools.cache
 def scalar_corpus(*, samples_per_class: int, events: int = 16, noise: float = 4.0,
                   classes: int = 6, seed: int = 42):
     """Reference generator: one `SplitMix64.normal()` call per trace value and
@@ -354,23 +352,21 @@ GENERATOR_CASES = [
 ]
 
 
-def _assert_matches_scalar(bundle, kwargs):
+@pytest.mark.parametrize("kwargs", GENERATOR_CASES,
+                         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_corpus_matches_scalar_generator(kwargs):
+    bundle = features.gen_synthetic_corpus(**kwargs)
     rows, labels, blocks = scalar_corpus(**kwargs)
     assert np.array_equal(bundle.traces.rows.view(np.uint64), rows.view(np.uint64))
     assert np.array_equal(bundle.traces.labels, labels)
     assert bundle.blocks.tobytes() == blocks.tobytes()
 
 
-@pytest.mark.parametrize("kwargs", GENERATOR_CASES,
-                         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
-def test_corpus_matches_scalar_generator(kwargs):
-    _assert_matches_scalar(features.gen_synthetic_corpus(**kwargs), kwargs)
-
-
 def _straddling_pairs(h: float, texture: float, noise: float, sign: int):
-    """1024 uniform pairs whose exact max(texture + noise * z, 0) lies within
-    a few hundred ulps of u1 either side of the half-integer h; u2 is 0 or
-    0.5, where np.cos and math.cos give exactly +1 or -1."""
+    """1024 uniform pairs whose exact max(texture + noise * z, 0) straddle the
+    half-integer h: u1 runs over the 1024 floats nearest the u1 that puts the
+    value at h. u2 is 0 or 0.5, where np.cos and math.cos give exactly +1
+    or -1."""
     z = (h - texture) / noise * sign
     centre = math.exp(-z * z / 2.0)
     u1 = centre + np.arange(-512, 512) * np.spacing(centre)
@@ -398,7 +394,7 @@ def test_jitter_bytes_exact_at_half_integers(monkeypatch, scale):
 def test_corpus_exact_fallback_runs(monkeypatch):
     """At noise 1e6 some block values lie within the fast path's tolerance of
     a half-integer and go through the exact `box_muller`; the trace values
-    always do, and nothing else does at the default noise."""
+    always do, and nothing else does at the default seed and noise."""
     sizes = []
     exact = features.box_muller
 
